@@ -467,7 +467,10 @@ def extract_chain(ns: NeronSeveri, labels: Sequence[str]) -> Sublattice:
 def _as_rational(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError("rationals must be integers or strings like '-27/4'")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _poly_from_json(values) -> Poly:

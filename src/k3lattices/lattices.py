@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import product
 from typing import Sequence
 
-from .intmat import IntMatrix, RationalVector, det_exact, smith_normal_form
+from .intmat import IntMatrix, RationalVector, det_exact, mat_vec, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -59,39 +59,72 @@ class Lattice:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
 
     def pairing(self, v: Sequence[Fraction | int], w: Sequence[Fraction | int]) -> Fraction:
-        """Bilinear form extended to rational coordinate vectors."""
+        """Bilinear form extended to rational coordinate vectors.
+
+        Each vector is scaled to integers once, by the lcm of its
+        denominators, so the sum runs over ints and one Fraction is built.
+        """
         if len(v) != self.rank or len(w) != self.rank:
             raise ValueError("vector length does not match the rank")
-        return sum(
-            (Fraction(v[i]) * self.gram[i, j] * Fraction(w[j])
-             for i in range(self.rank) for j in range(self.rank)),
-            start=Fraction(0),
-        )
+        (iv, qv), (iw, qw) = clear_denominators(v), clear_denominators(w)
+        return Fraction(sum(a * b for a, b in zip(iv, mat_vec(self.gram, iw))), qv * qw)
+
+
+def clear_denominators(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(q*v, q) for the least positive q making q*v integral."""
+    q = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (q // x.denominator) for x in v], q
 
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
-    """Dual quotient of a nondegenerate lattice, with its quadratic form.
+    """Dual quotient of a nondegenerate lattice, with its bilinear form.
 
-    Generators are rational coordinate vectors in the lattice basis; the
-    i-th generator has order invariant_factors[i], and qvalues[i] is the
-    value of the discriminant quadratic form on it, reduced into [0, 2).
+    Elements are coefficient tuples c against the generators, which are
+    rational coordinate vectors in the lattice basis; the i-th generator
+    has order invariant_factors[i].  exponent is the lcm of the invariant
+    factors (1 for the trivial group), and gram is the integer matrix
+    exponent * b(g_i, g_j), so the forms on coefficient tuples need only
+    integer arithmetic: q(c) is the discriminant quadratic form
+    c^T gram c / exponent reduced into [0, 2), order_of(c) is the least
+    k >= 1 with k*c = 0, and vector(c) is sum c_i g_i as a rational
+    coordinate vector.  qvalues[i] is q on the i-th generator.
     """
 
     invariant_factors: tuple[int, ...]
     generators: tuple[RationalVector, ...]
-    qvalues: tuple[Fraction, ...]
+    gram: IntMatrix
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return math.prod(self.invariant_factors)
+
+    @property
+    def exponent(self) -> int:
+        return math.lcm(*self.invariant_factors)
+
+    @property
+    def qvalues(self) -> tuple[Fraction, ...]:
+        e = self.exponent
+        return tuple(Fraction(self.gram[i, i] % (2 * e), e)
+                     for i in range(len(self.invariant_factors)))
 
     def elements(self):
         """All group elements as coefficient tuples against the generators."""
         return product(*(range(d) for d in self.invariant_factors))
+
+    def q(self, coeffs: Sequence[int]) -> Fraction:
+        e = self.exponent
+        value = sum(c * x for c, x in zip(coeffs, mat_vec(self.gram, coeffs)))
+        return Fraction(value % (2 * e), e)
+
+    def order_of(self, coeffs: Sequence[int]) -> int:
+        return math.lcm(*(d // math.gcd(c, d)
+                          for c, d in zip(coeffs, self.invariant_factors)))
+
+    def vector(self, coeffs: Sequence[int]) -> RationalVector:
+        return tuple(sum(c * x for c, x in zip(coeffs, xs))
+                     for xs in zip(*self.generators))
 
 
 def _mod2(x: Fraction) -> Fraction:
@@ -204,7 +237,7 @@ def signature(l: Lattice) -> Signature:
 
 
 def discriminant_group(l: Lattice) -> DiscriminantGroup:
-    """Finite quotient (dual lattice)/(lattice) with its quadratic form.
+    """Finite quotient (dual lattice)/(lattice) with its discriminant forms.
 
     The i-th generator is column i of the right Smith transform divided
     by the i-th invariant factor; only factors > 1 contribute.
@@ -212,38 +245,23 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
     if l.det == 0:
         raise ValueError("degenerate lattice has no discriminant group")
     d, _left, right = smith_normal_form(l.gram)
-    factors = []
-    gens = []
-    qs = []
-    for i, di in enumerate(d):
-        if di == 1:
-            continue
-        gen = tuple(Fraction(right[k, i], di) for k in range(l.rank))
-        factors.append(di)
-        gens.append(gen)
-        qs.append(qvalue(l, gen))
-    group = DiscriminantGroup(tuple(factors), tuple(gens), tuple(qs))
+    kept = [i for i, di in enumerate(d) if di != 1]
+    factors = tuple(d[i] for i in kept)
+    gens = tuple(tuple(Fraction(right[k, i], d[i]) for k in range(l.rank))
+                 for i in kept)
+    # left @ gram @ right = diag(d) makes column j of gram @ right a multiple
+    # of d[j], so b(g_i, g_j) has denominator dividing min(d_i, d_j) and
+    # these divisions by d_i * d_j are exact
+    cols = IntMatrix.from_rows([right.col(i) for i in kept], cols=l.rank)
+    inner = cols @ l.gram @ cols.transpose()
+    e = math.lcm(*factors)
+    gram = IntMatrix.from_rows(
+        [[e * inner[i, j] // (di * dj) for j, dj in enumerate(factors)]
+         for i, di in enumerate(factors)], cols=len(factors))
+    group = DiscriminantGroup(factors, gens, gram)
     if group.order != abs(l.det):
         raise AssertionError("group order disagrees with the determinant")
     return group
-
-
-def _q_evaluator(l: Lattice, group: DiscriminantGroup):
-    """Quadratic form on coefficient tuples, for the isomorphism search."""
-    k = len(group.generators)
-    qs = group.qvalues
-    pair = [[l.pairing(group.generators[i], group.generators[j])
-             for j in range(k)] for i in range(k)]
-
-    def q_of(coeffs):
-        total = Fraction(0)
-        for i in range(k):
-            total += coeffs[i] * coeffs[i] * qs[i]
-            for j in range(i + 1, k):
-                total += 2 * coeffs[i] * coeffs[j] * pair[i][j]
-        return _mod2(total)
-
-    return q_of
 
 
 def glue_compatible(s: Lattice, t: Lattice) -> bool:
@@ -260,21 +278,9 @@ def glue_compatible(s: Lattice, t: Lattice) -> bool:
         return False
     if gs.order > 4096:
         raise ValueError("discriminant group too large for exhaustive search")
-    q_s = _q_evaluator(s, gs)
-    q_t = _q_evaluator(t, gt)
-
     factors = gs.invariant_factors
     elements = list(gt.elements())
-
-    def order_of(coeffs):
-        n = 1
-        for c, d in zip(coeffs, factors):
-            if c:
-                dd = d // math.gcd(c, d)
-                n = n * dd // math.gcd(n, dd)
-        return n
-
-    candidates = [[e for e in elements if order_of(e) == d] for d in factors]
+    candidates = [[e for e in elements if gt.order_of(e) == d] for d in factors]
     for images in product(*candidates):
         seen = set()
         ok = True
@@ -287,7 +293,7 @@ def glue_compatible(s: Lattice, t: Lattice) -> bool:
                 ok = False
                 break
             seen.add(img)
-            if _mod2(q_t(img) + q_s(coeffs)) != 0:
+            if _mod2(gt.q(img) + gs.q(coeffs)) != 0:
                 ok = False
                 break
         if ok:

@@ -19,12 +19,13 @@ from .intmat import (
     det_exact,
     hermite_normal_form,
     integer_kernel,
+    mat_vec,
     saturate,
     smith_normal_form,
     solve_rational,
     unimodular_inverse,
 )
-from .lattices import Lattice, discriminant_group, qvalue
+from .lattices import Lattice, clear_denominators, discriminant_group
 
 
 @dataclass(frozen=True)
@@ -173,17 +174,12 @@ def solve_glue(ambient: Lattice, delta: Sublattice,
         raise ValueError("cannot orient H")
     if sign < 0:
         H = [-x for x in H]
-    h_sq = ambient.pairing(H, H)
 
     x = delta.coords.hstack(IntMatrix.from_rows([[v] for v in H]))
     n = abs(det_exact(x))
     d, left, _right = smith_normal_form(x)
     if any(di != 1 for di in d[:-1]) or d[-1] != n:
         raise ValueError("quotient by delta + ZH is not cyclic")
-
-    if abs(ambient.det) == 7 and abs(det_exact(delta.induced_gram())) == 16:
-        if 16 * h_sq != 7 * n * n:
-            raise AssertionError("16*H^2 = 7*n^2 fails")
 
     # class generating the quotient, as an integer ambient vector
     g0 = unimodular_inverse(left).col(ambient.rank - 1)
@@ -196,28 +192,11 @@ def solve_glue(ambient: Lattice, delta: Sublattice,
     m = pow(p, -1, n)
     a = tuple(int(m * c * n) % n for c in coeffs[:-1])
 
-    rank = ambient.rank
-    h = [Fraction(H[i], n) for i in range(rank)]
-    for j in range(delta.rank):
-        col = delta.generator(j)
-        for i in range(rank):
-            h[i] += Fraction(a[j] * col[i], n)
-    if any(v.denominator != 1 for v in h):
-        raise AssertionError("normalized glue vector is not integral")
-    h_int = tuple(int(v) for v in h)
-
+    h_int = _glue_vector(H, delta, a, n)
     for i in range(1, delta.rank):
         if a[i] != (i + 1) * a[0] % n:
             raise AssertionError("residues do not follow the chain rule")
-
-    hp = [Fraction(H[i], n) for i in range(rank)]
-    for j in range(delta.rank):
-        col = delta.generator(j)
-        for i in range(rank):
-            hp[i] += Fraction(a[0] * (j + 1) * col[i], n)
-    if any(v.denominator != 1 for v in hp):
-        raise AssertionError("h_plus is not integral")
-    h_plus = tuple(int(v) for v in hp)
+    h_plus = _glue_vector(H, delta, [a[0] * (j + 1) for j in range(delta.rank)], n)
 
     # delta together with h must already generate the whole ambient lattice
     spanning = delta.coords.hstack(
@@ -227,6 +206,15 @@ def solve_glue(ambient: Lattice, delta: Sublattice,
         raise AssertionError("delta + Zh does not span the ambient lattice")
 
     return GlueSolution(n, tuple(H), h_int, a, h_plus)
+
+
+def _glue_vector(H: list[int], delta: Sublattice, weights: tuple[int, ...] | list[int],
+                 n: int) -> tuple[int, ...]:
+    """The integral vector (H + sum weights[j] * C_j) / n."""
+    numerator = [x + y for x, y in zip(H, mat_vec(delta.coords, weights))]
+    if any(x % n for x in numerator):
+        raise AssertionError("glue vector is not integral")
+    return tuple(x // n for x in numerator)
 
 
 @dataclass(frozen=True)
@@ -246,9 +234,12 @@ class Overlattice:
 def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
     """Even overlattices N of m with cyclic quotient N/m of the given order.
 
-    Searches the discriminant group exhaustively for glue vectors of the
-    right order with q = 0 mod 2, one overlattice per cyclic subgroup.
-    Results are sorted by glue-vector coefficients.
+    Walks the discriminant group exhaustively, in sorted coefficient order,
+    for elements of the given order with q = 0 mod 2, testing both on
+    coefficient tuples; the first such element of each cyclic subgroup is
+    its glue vector, one overlattice per subgroup.  Each overlattice Gram
+    is the integer product of the scaled Hermite basis with m's Gram,
+    divided exactly by the square of the scale.
     """
     if index < 1:
         raise ValueError("index must be positive")
@@ -265,22 +256,10 @@ def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
         raise ValueError("discriminant group too large for exhaustive search")
 
     factors = group.invariant_factors
-
-    def order_of(coeffs):
-        n = 1
-        for c, dd in zip(coeffs, factors):
-            if c:
-                o = dd // math.gcd(c, dd)
-                n = n * o // math.gcd(n, o)
-        return n
-
     seen_subgroups = []
-    picked = []
+    results = []
     for coeffs in sorted(group.elements()):
-        if order_of(coeffs) != index:
-            continue
-        vec = _group_vector(group, coeffs, m.rank)
-        if qvalue(m, vec) != 0:
+        if group.order_of(coeffs) != index or group.q(coeffs) != 0:
             continue
         subgroup = frozenset(
             tuple(k * c % dd for c, dd in zip(coeffs, factors))
@@ -288,46 +267,32 @@ def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
         if subgroup in seen_subgroups:
             continue
         seen_subgroups.append(subgroup)
-        picked.append((coeffs, vec))
-
-    results = []
-    for coeffs, vec in picked:
-        basis = _adjoin(m, vec)
-        gram_rows = []
-        for u in basis:
-            gram_rows.append([_as_int(m.pairing(u, w)) for w in basis])
-        gram = IntMatrix.from_rows(gram_rows, cols=m.rank)
+        vec = group.vector(coeffs)
+        scaled, q = _adjoin(m, vec)
+        product = scaled @ m.gram @ scaled.transpose()
+        if any(x % (q * q) for row in product.entries for x in row):
+            raise AssertionError("overlattice Gram is not integral")
+        gram = IntMatrix.from_rows(
+            [[x // (q * q) for x in row] for row in product.entries], cols=m.rank)
         for i in range(m.rank):
             if gram[i, i] % 2:
                 raise AssertionError("overlattice is not even")
         over = Lattice(gram)
         if abs(m.det) != index * index * abs(over.det):
             raise AssertionError("determinant identity fails")
+        basis = tuple(tuple(Fraction(x, q) for x in row) for row in scaled.entries)
         results.append(Overlattice(vec, basis, gram, index))
     return results
 
 
-def _group_vector(group, coeffs, rank) -> RationalVector:
-    vec = [Fraction(0)] * rank
-    for c, gen in zip(coeffs, group.generators):
-        for i in range(rank):
-            vec[i] += c * gen[i]
-    return tuple(vec)
+def _adjoin(m: Lattice, vec: RationalVector) -> tuple[IntMatrix, int]:
+    """Basis of m + Z*vec in m's coordinates as (q * basis rows, q).
 
-
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise AssertionError("expected an integer pairing value")
-    return int(x)
-
-
-def _adjoin(m: Lattice, vec: RationalVector) -> tuple[RationalVector, ...]:
-    """Basis of m + Z*vec in m's coordinates, via a scaled Hermite form."""
-    q = math.lcm(*(v.denominator for v in vec)) if vec else 1
+    The rows come from the Hermite form of q times the identity stacked on
+    q*vec, where q is the least common denominator of vec.
+    """
+    scaled_vec, q = clear_denominators(vec)
     rows = [[q if i == j else 0 for j in range(m.rank)] for i in range(m.rank)]
-    rows.append([int(v * q) for v in vec])
+    rows.append(scaled_vec)
     h, _ = hermite_normal_form(IntMatrix.from_rows(rows, cols=m.rank))
-    basis = []
-    for i in range(m.rank):
-        basis.append(tuple(Fraction(h[i, j], q) for j in range(m.rank)))
-    return tuple(basis)
+    return IntMatrix.from_rows(h.entries[:m.rank], cols=m.rank), q

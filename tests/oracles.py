@@ -101,3 +101,9 @@ def half_integral_subsets(coord_cols):
             if all(x % 2 == 0 for x in total):
                 found.append(J)
     return found
+
+
+def gram_form(rows, v, w):
+    """v^T G w for rational vectors, one Fraction product per term."""
+    return sum(Fraction(v[i]) * rows[i][j] * Fraction(w[j])
+               for i in range(len(rows)) for j in range(len(rows)))

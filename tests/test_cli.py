@@ -142,6 +142,14 @@ def test_fibration_k3_bound_rejected(capsys, tmp_path):
     assert "K3 bound" in err
 
 
+def test_fibration_zero_denominator_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"a4": [], "a6": ["1/0"]}))
+    code, _, err = run(capsys, "fibration", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_fibration_unknown_source(capsys):
     code, _, err = run(capsys, "fibration", "no-such-model")
     assert code == 2
