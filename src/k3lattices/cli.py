@@ -17,8 +17,9 @@ from typing import Sequence
 
 from .fibration import (
     FibrationAnalysis,
+    FibrationModel,
     analyze_k3,
-    fibration_from_json,
+    fiber_specs_from_json,
     kodaira_data,
     weierstrass_from_json,
 )
@@ -126,16 +127,9 @@ def _report_analysis(analysis: FibrationAnalysis, as_json: bool) -> int:
     return 0 if analysis.consistent else 1
 
 
-def _report_fibration_json(text: str, as_json: bool) -> int:
-    data = json.loads(text)
-    if not isinstance(data.get("fibers"), list):
-        raise ValueError("fibers must form a list")
-    rows = []
-    for entry in data["fibers"]:
-        if not isinstance(entry, dict) or "place" not in entry or "type" not in entry:
-            raise ValueError("each fiber needs place and type")
-        rows.append(_fiber_row(str(entry["place"]), str(entry["type"]),
-                               int(entry.get("count", 1))))
+def _report_fibration_json(data: dict, as_json: bool) -> int:
+    specs, mw_rank = fiber_specs_from_json(data)
+    rows = [_fiber_row(f.place, f.kodaira, f.count) for f in specs]
     euler_total = sum(euler * count for _, _, count, euler, _, _ in rows)
     if euler_total != 24:
         if not as_json:
@@ -145,7 +139,7 @@ def _report_fibration_json(text: str, as_json: bool) -> int:
             print(json.dumps({"euler_total": str(euler_total),
                               "consistent": False}, sort_keys=True))
         return 1
-    model = fibration_from_json(text)
+    model = FibrationModel(specs, mw_rank)
     if as_json:
         out = {
             "fibers": [
@@ -187,7 +181,7 @@ def cmd_fibration(args: argparse.Namespace) -> int:
     text = path.read_text()
     data = json.loads(text)
     if isinstance(data, dict) and "fibers" in data:
-        return _report_fibration_json(text, args.json)
+        return _report_fibration_json(data, args.json)
     return _report_analysis(analyze_k3(weierstrass_from_json(text)), args.json)
 
 

@@ -506,8 +506,16 @@ def weierstrass_to_json(w: WeierstrassModel) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def fibration_from_json(text: str) -> FibrationModel:
-    data = json.loads(text)
+def _json_int(value, name: str) -> int:
+    """A JSON integer: a non-bool int, or a string of decimal digits."""
+    if isinstance(value, int) and not isinstance(value, bool) or \
+            isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def fiber_specs_from_json(data) -> tuple[tuple[FiberSpec, ...], int]:
+    """Fiber specs and Mordell-Weil rank of decoded fibration JSON, any Euler sum."""
     if not isinstance(data, dict) or "fibers" not in data or "mw_rank" not in data:
         raise ValueError("fibration JSON needs fibers and mw_rank")
     if not isinstance(data["fibers"], list):
@@ -521,12 +529,13 @@ def fibration_from_json(text: str) -> FibrationModel:
             kodaira=str(entry["type"]),
             identity=str(entry.get("identity", "")),
             components=tuple(str(c) for c in entry.get("components", ())),
-            count=int(entry.get("count", 1)),
+            count=_json_int(entry.get("count", 1), "count"),
         ))
-    mw = data["mw_rank"]
-    if isinstance(mw, bool) or not isinstance(mw, (int, str)):
-        raise ValueError("mw_rank must be an integer")
-    return FibrationModel(tuple(specs), int(mw))
+    return tuple(specs), _json_int(data["mw_rank"], "mw_rank")
+
+
+def fibration_from_json(text: str) -> FibrationModel:
+    return FibrationModel(*fiber_specs_from_json(json.loads(text)))
 
 
 def fibration_to_json(model: FibrationModel) -> str:

@@ -118,7 +118,7 @@ def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
 
 
 class NoSolution:
-    """Singleton marker returned by solve_rational for inconsistent systems."""
+    """Singleton marker returned by the solvers for inconsistent systems."""
 
     _instance: "NoSolution | None" = None
 
@@ -327,6 +327,24 @@ def solve_rational(m: IntMatrix, rhs: Sequence[Fraction | int]) -> RationalVecto
     return tuple(x)
 
 
+def solve_integer(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | NoSolution:
+    """Solve m @ x = rhs over the integers, free variables set to 0, or NO_SOLUTION.
+
+    With left @ m @ right == diag(d) and x = right @ z, row i reads d[i] * z[i] == (left @ rhs)[i].
+    """
+    if len(rhs) != m.rows:
+        raise ValueError("rhs length does not match matrix rows")
+    d, left, right = smith_normal_form(m)
+    z = [0] * m.cols
+    for i, y in enumerate(mat_vec(left, rhs)):
+        di = d[i] if i < len(d) else 0
+        if di == 0 and y != 0 or di != 0 and y % di != 0:
+            return NO_SOLUTION
+        if di:
+            z[i] = y // di
+    return mat_vec(right, z)
+
+
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Saturated basis of {x in Z^cols : m @ x = 0}, returned as columns."""
     d, _left, right = smith_normal_form(m)
@@ -357,36 +375,11 @@ def saturate(basis: IntMatrix, ambient_rank: int) -> IntMatrix:
     return closure
 
 
-def rational_inverse(m: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a nonsingular integer matrix, as nested Fractions."""
-    n = m.rows
-    if n != m.cols:
-        raise ValueError("inverse requires a square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = rational_inverse(m)
-    rows = []
-    for row in inv:
-        out = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out.append(int(x))
-        rows.append(out)
-    return IntMatrix.from_rows(rows, cols=m.rows)
+    """Inverse of a unimodular matrix: its Hermite form is 1, so u @ m == 1."""
+    if m.rows != m.cols:
+        raise ValueError("inverse requires a square matrix")
+    h, u = hermite_normal_form(m)
+    if h != IntMatrix.identity(m.rows):
+        raise ValueError("matrix is not unimodular")
+    return u

@@ -22,8 +22,7 @@ from .intmat import (
     mat_vec,
     saturate,
     smith_normal_form,
-    solve_rational,
-    unimodular_inverse,
+    solve_integer,
 )
 from .lattices import Lattice, clear_denominators, discriminant_group
 
@@ -71,7 +70,9 @@ def is_primitive(s: Sublattice) -> tuple[bool, Sublattice]:
     """Whether s is saturated in its ambient; the closure comes along as witness."""
     closure = Sublattice(s.ambient, saturate(s.coords, s.ambient.rank),
                          f"closure({s.label})" if s.label else "")
-    return sublattice_index(closure, s) == 1, closure
+    # the columns are independent, so s is saturated iff every invariant factor is 1
+    d, _, _ = smith_normal_form(s.coords)
+    return all(x == 1 for x in d), closure
 
 
 def sublattice_index(big: Sublattice, small: Sublattice):
@@ -83,13 +84,10 @@ def sublattice_index(big: Sublattice, small: Sublattice):
         raise ValueError("sublattices live in different ambient lattices")
     relative = []
     for j in range(small.rank):
-        col = small.generator(j)
-        sol = solve_rational(big.coords, col)
+        sol = solve_integer(big.coords, small.generator(j))
         if sol is NO_SOLUTION:
-            raise ValueError("small is not contained in the span of big")
-        if any(x.denominator != 1 for x in sol):
             raise ValueError("small is not a subgroup of big")
-        relative.append([int(x) for x in sol])
+        relative.append(sol)
     if small.rank < big.rank:
         return math.inf
     x = IntMatrix.from_rows(relative, cols=big.rank).transpose()
@@ -177,20 +175,17 @@ def solve_glue(ambient: Lattice, delta: Sublattice,
 
     x = delta.coords.hstack(IntMatrix.from_rows([[v] for v in H]))
     n = abs(det_exact(x))
-    d, left, _right = smith_normal_form(x)
+    if n == 0:
+        raise ValueError("delta + ZH does not have full rank")
+    d, _left, right = smith_normal_form(x)
     if any(di != 1 for di in d[:-1]) or d[-1] != n:
         raise ValueError("quotient by delta + ZH is not cyclic")
 
-    # class generating the quotient, as an integer ambient vector
-    g0 = unimodular_inverse(left).col(ambient.rank - 1)
-    coeffs = solve_rational(x, g0)
-    assert coeffs is not NO_SOLUTION
-    p = coeffs[-1] * n
-    assert p.denominator == 1
-    p = int(p) % n
-    # primitivity makes the H-coefficient a unit mod n
-    m = pow(p, -1, n)
-    a = tuple(int(m * c * n) % n for c in coeffs[:-1])
+    # left @ x @ right == diag(1, ..., 1, n): the quotient generator is x @ right.col(-1) / n,
+    # and primitivity makes its H-coefficient a unit mod n
+    coeffs = right.col(-1)
+    m = pow(coeffs[-1], -1, n)
+    a = tuple(m * c % n for c in coeffs[:-1])
 
     h_int = _glue_vector(H, delta, a, n)
     for i in range(1, delta.rank):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import __version__
-from .intmat import NO_SOLUTION, IntMatrix, det_exact, solve_rational
+from .intmat import NO_SOLUTION, IntMatrix, det_exact, solve_integer
 from .lattices import Lattice, direct_sum, discriminant_group, make_named, signature
 from .fibration import analyze_k3
 from .fixedlocus import (
@@ -95,10 +95,7 @@ def _overlattice_contains(over: Overlattice, vector: tuple[Fraction, ...]) -> bo
                 *(x.denominator for x in vector))
     columns = IntMatrix.from_rows(
         [[int(row[i] * scale) for row in over.basis] for i in range(len(vector))])
-    solution = solve_rational(columns, [int(x * scale) for x in vector])
-    if solution is NO_SOLUTION:
-        return False
-    return all(x.denominator == 1 for x in solution)
+    return solve_integer(columns, [int(x * scale) for x in vector]) is not NO_SOLUTION
 
 
 def run_verification(perturb: bool = False) -> VerificationReport:

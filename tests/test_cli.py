@@ -134,6 +134,36 @@ def test_fibration_euler_deficit_exits_one(capsys, tmp_path):
     assert "FLAG" in out and "10" in out
 
 
+@pytest.mark.parametrize("fibers, mw", [
+    ([{"place": "0", "type": "II*"}, {"place": "1", "type": "I1", "count": 1.5}], 0),
+    ([{"place": "0", "type": "II*"}, {"place": "1", "type": "I1", "count": -3}], 0),
+    ([{"place": "0", "type": "II*"}, {"place": "1", "type": "I1", "count": True}], 0),
+    ([{"place": "0", "type": "II*"}, {"place": "1", "type": "I1", "count": 14}], None),
+    ([{"place": "0", "type": "II*"}, {"place": "1", "type": "I1", "count": 4}], None),
+], ids=["fractional-count", "negative-count", "bool-count", "no-mw-rank-euler-24",
+        "no-mw-rank-euler-14"])
+def test_fibration_bad_count_or_mw_rank_is_bad_input(capsys, tmp_path, fibers, mw):
+    # exit 2 whatever the Euler sum
+    data = {"fibers": fibers}
+    if mw is not None:
+        data["mw_rank"] = mw
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "fibration", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_fibration_euler_deficit_json(capsys, tmp_path):
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({
+        "fibers": [{"place": "0", "type": "II*"},
+                   {"place": "1", "type": "I1", "count": "3"}], "mw_rank": "0"}))
+    code, out, _ = run(capsys, "fibration", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {"consistent": False, "euler_total": "13"}
+
+
 def test_fibration_k3_bound_rejected(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"a4": ["0"], "a6": ["0"] * 13 + ["1"]}))

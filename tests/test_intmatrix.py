@@ -12,9 +12,9 @@ from k3lattices.intmat import (
     hermite_normal_form,
     integer_kernel,
     mat_vec,
-    rational_inverse,
     saturate,
     smith_normal_form,
+    solve_integer,
     solve_rational,
     unimodular_inverse,
 )
@@ -176,6 +176,42 @@ def test_solve_random_consistent_systems():
                 for i in range(rows)] == rhs
 
 
+def test_solve_integer_against_rational_solve():
+    rng = random.Random(23)
+    full_rank = 0
+    for _ in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = random_matrix(rng, rows, cols, -4, 4)
+        if rng.random() < 0.5:
+            # a right-hand side in the integer image of m
+            x = [rng.randint(-5, 5) for _ in range(cols)]
+            rhs = list(mat_vec(m, x))
+        else:
+            rhs = [rng.randint(-9, 9) for _ in range(rows)]
+        sol = solve_integer(m, rhs)
+        if sol is not NO_SOLUTION:
+            assert mat_vec(m, sol) == tuple(rhs)
+        d, _, _ = smith_normal_form(m)
+        if sum(1 for x in d if x != 0) < cols:
+            continue
+        full_rank += 1
+        expected = solve_rational(m, rhs)
+        if expected is NO_SOLUTION or any(x.denominator != 1 for x in expected):
+            assert sol is NO_SOLUTION
+        else:
+            assert sol == tuple(int(x) for x in expected)
+    assert full_rank > 50
+
+
+def test_solve_integer_edge_shapes():
+    assert solve_integer(IntMatrix.from_rows([[2]]), [3]) is NO_SOLUTION
+    assert solve_integer(IntMatrix.from_rows([[2], [0]]), [4, 1]) is NO_SOLUTION
+    assert solve_integer(IntMatrix.from_rows([[2], [0]]), [4, 0]) == (2,)
+    assert solve_integer(IntMatrix.zeros(2, 3), [0, 0]) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        solve_integer(IntMatrix.identity(2), [1])
+
+
 def test_kernel_of_zero_matrix_is_identity():
     k = integer_kernel(IntMatrix.zeros(2, 2))
     assert k == IntMatrix.identity(2)
@@ -232,14 +268,17 @@ def test_saturate_rejects_dependent_columns():
         saturate(IntMatrix.from_rows([[1, 2], [2, 4]]), 2)
 
 
-def test_rational_inverse_matches_adjugate_oracle():
-    m = IntMatrix.from_rows([[3, 1], [4, 2]])
-    inv = rational_inverse(m)
-    assert inv == ((Fraction(1), Fraction(-1, 2)), (Fraction(-2), Fraction(3, 2)))
-
-
 def test_unimodular_inverse():
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
     assert unimodular_inverse(m) @ m == IntMatrix.identity(2)
+    rng = random.Random(29)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        _, left, right = smith_normal_form(random_matrix(rng, n, n))
+        for u in (left, right):
+            inv = unimodular_inverse(u)
+            assert inv @ u == u @ inv == IntMatrix.identity(n)
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        unimodular_inverse(IntMatrix.from_rows([[1, 1]]))

@@ -1,6 +1,7 @@
 """Tests for sublattice machinery: complements, indices, glue, overlattices."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ from k3lattices.intmat import (
     hermite_normal_form,
     solve_rational,
 )
+from k3lattices.fixtures import chain_glue
 from k3lattices.lattices import Lattice, direct_sum, make_named
 from k3lattices.sublattices import (
     GlueSolution,
@@ -66,6 +68,24 @@ def test_is_primitive():
     u = make_named("U")
     prim, _ = is_primitive(Sublattice(u, columns([(1, 1)])))
     assert prim
+
+
+def test_is_primitive_agrees_with_index_of_closure():
+    rng = random.Random(31)
+    amb = direct_sum(make_named("U"), make_named("A3"))
+    seen = set()
+    for _ in range(60):
+        k = rng.randint(1, amb.rank)
+        coords = IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(k)] for _ in range(amb.rank)])
+        try:
+            s = Sublattice(amb, coords)
+        except ValueError:
+            continue
+        prim, closure = is_primitive(s)
+        assert prim == (sublattice_index(closure, s) == 1)
+        seen.add(prim)
+    assert seen == {True, False}
 
 
 def test_sublattice_index_values():
@@ -165,6 +185,22 @@ def test_solve_glue_toy_case():
         h + c for h, c in zip(sol.H, delta.generator(0)))
 
 
+def test_chain_glue_values_are_pinned():
+    a = (13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3)
+    assert chain_glue("a15-chain-1") == GlueSolution(
+        n=16,
+        H=(21, 42, -18, -15, -12, -9, -6, -3, -21, -42, -63, -84, -105, -70, -35, -56),
+        h=(2, 4, -2, -1, -1, -1, -1, -1, -2, -4, -5, -7, -9, -6, -3, -5),
+        a=a,
+        h_plus=(7, 14, -6, -5, -4, -3, -2, -1, -7, -14, -21, -28, -35, -19, -3, -23))
+    assert chain_glue("a15-chain-2") == GlueSolution(
+        n=16,
+        H=(21, 42, -3, -6, -9, -12, -15, -18, -21, -42, -63, -84, -105, -70, -35, -56),
+        h=(2, 4, -1, -1, -1, -1, -1, -2, -2, -4, -5, -7, -9, -6, -3, -5),
+        a=a,
+        h_plus=(7, 14, -1, -2, -3, -4, -5, -6, -7, -14, -21, -28, -35, -19, -3, -23))
+
+
 def test_solve_glue_sign_normalization():
     u = make_named("U")
     delta = Sublattice(u, columns([(1, -1)]))
@@ -181,6 +217,9 @@ def test_solve_glue_rejections():
     amb = direct_sum(make_named("U"), make_named("A1"))
     with pytest.raises(ValueError):
         solve_glue(amb, Sublattice(amb, columns([(1, -1, 0)])))
+    # an isotropic line is its own complement, so delta + ZH has rank 1
+    with pytest.raises(ValueError):
+        solve_glue(u, Sublattice(u, columns([(1, 0)])))
 
 
 def test_overlattices_of_index_one():
