@@ -19,12 +19,14 @@ from .fibration import (
     FibrationAnalysis,
     FibrationModel,
     analyze_k3,
+    check_fibration_rules,
     fiber_specs_from_json,
     kodaira_data,
     weierstrass_from_json,
 )
 from .fixtures import WEIERSTRASS_NAMES, weierstrass_model
 from .lattices import (
+    decode_json,
     direct_sum,
     discriminant_group,
     lattice_from_json,
@@ -132,6 +134,7 @@ def _report_fibration_json(data: dict, as_json: bool) -> int:
     rows = [_fiber_row(f.place, f.kodaira, f.count) for f in specs]
     euler_total = sum(euler * count for _, _, count, euler, _, _ in rows)
     if euler_total != 24:
+        check_fibration_rules(specs, mw_rank)
         if not as_json:
             _print_fiber_table(rows)
             print(f"  FLAG: Euler numbers sum to {euler_total}, not 24")
@@ -179,7 +182,7 @@ def cmd_fibration(args: argparse.Namespace) -> int:
             f"unknown model {source!r}; give a built-in name ({known}) "
             "or a JSON file")
     text = path.read_text()
-    data = json.loads(text)
+    data = decode_json(text)
     if isinstance(data, dict) and "fibers" in data:
         return _report_fibration_json(data, args.json)
     return _report_analysis(analyze_k3(weierstrass_from_json(text)), args.json)

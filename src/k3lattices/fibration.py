@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .intmat import IntMatrix
-from .lattices import Lattice
+from .lattices import Lattice, decode_json
 from .polynomials import (
     Poly,
     Rational,
@@ -354,30 +354,41 @@ class FiberSpec:
             raise ValueError("the identity component must have multiplicity 1")
 
 
+def _shioda_tate_rank(fibers: Sequence[FiberSpec], mw_rank: int) -> int:
+    shifted = sum((kodaira_data(f.kodaira)[1] - 1) * f.count for f in fibers)
+    return 2 + shifted + mw_rank
+
+
+def check_fibration_rules(fibers: Sequence[FiberSpec], mw_rank: int) -> None:
+    """The rules of a fibration that hold whatever its Euler sum: a
+    non-negative Mordell-Weil rank, distinct places, distinct component
+    labels and a Shioda-Tate rank of at most 20."""
+    if mw_rank < 0:
+        raise ValueError("Mordell-Weil rank cannot be negative")
+    places = [f.place for f in fibers]
+    if len(set(places)) != len(places):
+        raise ValueError("fiber places must be distinct")
+    labels = [c for f in fibers for c in f.components]
+    if len(set(labels)) != len(labels):
+        raise ValueError("component labels must be distinct across fibers")
+    if _shioda_tate_rank(fibers, mw_rank) > 20:
+        raise ValueError("Shioda-Tate rank exceeds 20")
+
+
 @dataclass(frozen=True)
 class FibrationModel:
     fibers: tuple[FiberSpec, ...]
     mw_rank: int
 
     def __post_init__(self) -> None:
-        if self.mw_rank < 0:
-            raise ValueError("Mordell-Weil rank cannot be negative")
-        places = [f.place for f in self.fibers]
-        if len(set(places)) != len(places):
-            raise ValueError("fiber places must be distinct")
-        labels = [c for f in self.fibers for c in f.components]
-        if len(set(labels)) != len(labels):
-            raise ValueError("component labels must be distinct across fibers")
+        check_fibration_rules(self.fibers, self.mw_rank)
         total = sum(kodaira_data(f.kodaira)[0] * f.count for f in self.fibers)
         if total != 24:
             raise ValueError(f"Euler numbers sum to {total}; an elliptic K3 needs 24")
-        if self.ns_rank > 20:
-            raise ValueError("Shioda-Tate rank exceeds 20")
 
     @cached_property
     def ns_rank(self) -> int:
-        shifted = sum((kodaira_data(f.kodaira)[1] - 1) * f.count for f in self.fibers)
-        return 2 + shifted + self.mw_rank
+        return _shioda_tate_rank(self.fibers, self.mw_rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +492,7 @@ def _poly_from_json(values) -> Poly:
 
 
 def weierstrass_from_json(text: str) -> WeierstrassModel:
-    data = json.loads(text)
+    data = decode_json(text)
     if not isinstance(data, dict) or "a6" not in data:
         raise ValueError("Weierstrass JSON needs a6 and one of a4, a4_cubed")
     label = data.get("label", "")
@@ -535,7 +546,7 @@ def fiber_specs_from_json(data) -> tuple[tuple[FiberSpec, ...], int]:
 
 
 def fibration_from_json(text: str) -> FibrationModel:
-    return FibrationModel(*fiber_specs_from_json(json.loads(text)))
+    return FibrationModel(*fiber_specs_from_json(decode_json(text)))
 
 
 def fibration_to_json(model: FibrationModel) -> str:

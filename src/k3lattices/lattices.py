@@ -305,8 +305,17 @@ def lattice_to_json(l: Lattice) -> str:
     return json.dumps({"label": l.label, "gram": l.gram.to_lists()})
 
 
+def decode_json(text: str):
+    """json.loads, with nesting too deep for the decoder reported as bad
+    input (ValueError) like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def lattice_from_json(text: str) -> Lattice:
-    data = json.loads(text)
+    data = decode_json(text)
     if not isinstance(data, dict) or "gram" not in data:
         raise ValueError("lattice JSON needs a 'gram' field")
     gram = data["gram"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -153,11 +153,54 @@ class Poly:
         return format_poly(self)
 
 
+def _integer_coeffs(f: Poly) -> list[int]:
+    """Coprime integer coefficients, positive leading one, proportional to
+    a nonzero f."""
+    scale = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in f.coeffs]
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints]
+
+
+def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a pseudo-remainder of a by b, for integer
+    coefficient lists (ascending, nonzero leading entry, len(a) >= len(b));
+    [] when b divides a."""
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        g = math.gcd(lead, r[-1])
+        u, v = lead // g, r[-1] // g
+        shift = len(r) - len(b)
+        r = [u * x for x in r]
+        for j, y in enumerate(b):
+            r[shift + j] -= v * y
+        while r and r[-1] == 0:
+            r.pop()
+    content = math.gcd(*r)
+    return [x // content for x in r]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) is 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a if a.is_zero else a.monic()
+    """Monic greatest common divisor; gcd(0, 0) is 0.
+
+    Denominators are cleared once; the primitive pseudo-remainder sequence
+    of Brown (J. ACM 1971) then runs over int, dividing every remainder
+    by its content so that coefficients stay small.
+    """
+    if a.is_zero or b.is_zero:
+        rest = b if a.is_zero else a
+        return rest if rest.is_zero else rest.monic()
+    x, y = _integer_coeffs(a), _integer_coeffs(b)
+    if len(x) < len(y):
+        x, y = y, x
+    while True:
+        r = _primitive_remainder(x, y)
+        if not r:
+            return Poly.of(y).monic()
+        x, y = y, r
 
 
 def squarefree_parts(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
@@ -207,53 +250,122 @@ def uniform_valuations(f: Poly, modulus: Poly) -> list[tuple[Poly, int]]:
     return sorted(result, key=lambda pv: (pv[1], format_poly(pv[0])))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            large.append(n // d)
-    return small + large[::-1]
-
-
 def primitive_integer(f: Poly) -> Poly:
     """The integer polynomial with coprime coefficients and positive
     leading coefficient proportional to f."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no primitive form")
-    scale = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * scale) for c in f.coeffs]
-    content = math.gcd(*ints)
-    if ints[-1] < 0:
-        content = -content
-    return Poly.of([c // content for c in ints])
+    return Poly.of(_integer_coeffs(f))
+
+
+def _value_mod(cs: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _primes() -> Iterator[int]:
+    n = 2
+    while True:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            yield n
+        n += 1
+
+
+def _simple_roots_mod_p(cs: list[int], deriv: list[int]) -> tuple[int, list[int]]:
+    """The smallest prime p not dividing the leading coefficient at which
+    every root of cs mod p is simple, with those roots.
+
+    Only primes dividing the discriminant have a repeated root, so the
+    search ends for squarefree input; anything else is caught by one gcd
+    the first time a repeated root shows up.
+    """
+    checked = False
+    for p in _primes():
+        if cs[-1] % p == 0:
+            continue
+        roots = [x for x in range(p) if _value_mod(cs, x, p) == 0]
+        if all(_value_mod(deriv, x, p) for x in roots):
+            return p, roots
+        if not checked:
+            if poly_gcd(Poly.of(cs), Poly.of(deriv)).degree > 0:
+                raise ValueError("rational roots need a squarefree polynomial")
+            checked = True
+
+
+def _rational_from_residue(x: int, m: int, bound: int) -> tuple[int, int]:
+    """(a, b) with a = b*x mod m, |a| <= bound and b > 0, read off the
+    half-extended Euclidean remainder sequence of (m, x).  When some a/b in
+    lowest terms with |a| <= bound and 0 < b <= m / (bound + 1) has
+    a = b*x mod m, this is it (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Thm. 5.26)."""
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _vanishes_at(cs: list[int], a: int, b: int) -> bool:
+    """Whether sum cs[i] * a^i * b^(n-i) is zero, i.e. cs has the root a/b."""
+    acc, power = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        power *= b
+        acc = acc * a + c * power
+    return acc == 0
+
+
+def _divide_linear(cs: list[int], a: int, b: int) -> list[int]:
+    """Exact quotient of cs by b*t - a."""
+    quot, acc = [], 0
+    for c in reversed(cs[1:]):
+        acc = (c + a * acc) // b
+        quot.append(acc)
+    return quot[::-1]
 
 
 def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
-    """Rational roots of a squarefree polynomial and the rootless cofactor."""
+    """Rational roots of a squarefree polynomial and the rootless cofactor.
+
+    The roots come from p-adic lifting (Loos, SIAM J. Comput. 1983): every
+    rational root a/b of the primitive form c_0..c_n has a | c_0 and
+    b | c_n, so it reduces to a simple root mod a prime p not dividing c_n.
+    Newton's iteration lifts that root until the modulus exceeds
+    2*|c_0|*|c_n|, where a/b is unique and is recovered exactly.  A
+    repeated rational root raises ValueError.
+    """
     if f.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
+    if f.degree == 0:
+        return [], f
+    cs = _integer_coeffs(f)
     roots: list[Fraction] = []
-    current = f
-    while current.degree > 0 and current.coeffs[0] == 0:
+    if cs[0] == 0:
         roots.append(Fraction(0))
-        current = current // Poly.monomial(1)
-    prim = primitive_integer(current) if current.degree > 0 else current
-    if prim.degree > 0:
-        candidates = [
-            Fraction(sign * p, q)
-            for p in _divisors(int(prim.coeffs[0]))
-            for q in _divisors(int(prim.leading))
-            for sign in (1, -1)
-        ]
-        for r in candidates:
-            if current.degree == 0:
-                break
-            if current.evaluate(r) == 0:
-                roots.append(r)
-                current = current // Poly((-r, Fraction(1)))
-    return sorted(set(roots)), current
+        cs = cs[1:]
+        if cs[0] == 0:
+            raise ValueError("rational roots need a squarefree polynomial")
+    rest = cs
+    if len(cs) > 1:
+        deriv = [k * c for k, c in enumerate(cs)][1:]
+        p, residues = _simple_roots_mod_p(cs, deriv)
+        bound = 2 * abs(cs[0]) * cs[-1]
+        for x in residues:
+            m = p
+            while m <= bound:
+                m *= m
+                x = (x - _value_mod(cs, x, m)
+                     * pow(_value_mod(deriv, x, m), -1, m)) % m
+            a, b = _rational_from_residue(x, m, abs(cs[0]))
+            if b <= cs[-1] and _vanishes_at(cs, a, b):
+                roots.append(Fraction(a, b))
+                rest = _divide_linear(rest, a, b)
+    if not roots:
+        return [], f
+    # dividing by the monic factors t - r keeps the leading coefficient of f
+    return sorted(roots), Poly.of(rest) * (f.leading / rest[-1])
 
 
 def format_poly(f: Poly, var: str = "t") -> str:

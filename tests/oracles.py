@@ -5,6 +5,7 @@ plain fraction Gaussian elimination, exhaustive subset loops.  None of it
 shares code with the package, so agreement is meaningful evidence.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -107,3 +108,59 @@ def gram_form(rows, v, w):
     """v^T G w for rational vectors, one Fraction product per term."""
     return sum(Fraction(v[i]) * rows[i][j] * Fraction(w[j])
                for i in range(len(rows)) for j in range(len(rows)))
+
+
+def _trim(coeffs):
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _fraction_remainder(a, b):
+    """Remainder of a by b, ascending Fraction coefficient lists."""
+    rem = list(a)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        for j, y in enumerate(b):
+            rem[shift + j] -= c * y
+        rem = _trim(rem)
+    return rem
+
+
+def euclid_gcd(a, b):
+    """Monic gcd of ascending coefficient lists by Euclid's algorithm over
+    Fractions; the empty list for gcd(0, 0)."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _fraction_remainder(a, b)
+    return [c / a[-1] for c in a]
+
+
+def _divisors_by_trial(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def divisor_rational_roots(coeffs):
+    """Distinct rational roots, sorted, of a nonzero polynomial with
+    integer coefficients (ascending): every +-p/q with p dividing the
+    lowest nonzero coefficient and q the leading one, evaluated by Horner's
+    rule over Fractions.  Trial division runs to the square root of both,
+    so keep the end coefficients small."""
+    coeffs = _trim(coeffs)
+    assert coeffs and all(c.denominator == 1 for c in coeffs)
+    low = next(k for k, c in enumerate(coeffs) if c != 0)
+    roots = {Fraction(0)} if low else set()
+    rest = coeffs[low:]
+    for p in _divisors_by_trial(int(rest[0])):
+        for q in _divisors_by_trial(int(rest[-1])):
+            for x in (Fraction(p, q), Fraction(-p, q)):
+                value = Fraction(0)
+                for c in reversed(rest):
+                    value = value * x + c
+                if value == 0:
+                    roots.add(x)
+    return sorted(roots)

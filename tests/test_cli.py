@@ -180,6 +180,63 @@ def test_fibration_zero_denominator_is_bad_input(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fibers, mw", [
+    ([{"place": "0", "type": "II*"}, {"place": "0", "type": "II*"}], -1),
+    ([{"place": "0", "type": "II*"}, {"place": "0", "type": "I1", "count": 3}], 0),
+    ([{"place": "0", "type": "I2", "identity": "a", "components": ["a", "b"]},
+      {"place": "1", "type": "I2", "identity": "c", "components": ["c", "b"]}], 0),
+    ([{"place": "0", "type": "II*"}, {"place": "1", "type": "II*"},
+      {"place": "2", "type": "I2"}], 2),
+], ids=["repeated-place-negative-mw", "repeated-place", "repeated-label",
+        "shioda-tate-21"])
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_fibration_rules_hold_at_any_euler_sum(capsys, tmp_path, fibers, mw, as_json):
+    # Euler sums 20, 13, 4 and 22: the model rules reject before the deficit report
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({"fibers": fibers, "mw_rank": mw}))
+    code, out, err = run(capsys, "fibration", str(path), *(["--json"] if as_json else []))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["lattice-info"], ["fibration"], ["fibration", "--json"]])
+def test_deeply_nested_json_is_bad_input(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _ten_i1_report(place):
+    return {
+        "consistent": False,
+        "euler_total": "10",
+        "fibers": [{"components": "1", "count": "10", "euler": "1",
+                    "place": place, "root": "-", "type": "I1"}],
+        "label": "",
+        "mw_rank": "14",
+        "notes": ["place at infinity skipped: model is not minimal here; "
+                  "substitute x -> u^2 x, y -> u^3 y to divide (a4, a6) by "
+                  "(u^4, u^6) and retry"],
+        "ns_rank": "16",
+    }
+
+
+@pytest.mark.parametrize("a4, place", [
+    ("100000", "27*t^10 + 4000000000000000"),
+    ("1000003", "27*t^10 + 4000036000108000108"),
+], ids=["a4-6-digits", "a4-7-digits"])
+def test_fibration_with_large_discriminant_constant(capsys, tmp_path, a4, place):
+    # the discriminant's constant term 64*a4^3 has 17 and 20 digits; the
+    # rational-root search must not depend on factoring it
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"a4": [a4], "a6": [0, 0, 0, 0, 0, 1]}))
+    code, out, _ = run(capsys, "fibration", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == _ten_i1_report(place)
+
+
 def test_fibration_unknown_source(capsys):
     code, _, err = run(capsys, "fibration", "no-such-model")
     assert code == 2

@@ -1,0 +1,178 @@
+"""Generated checks of the integer root and gcd kernels against the
+divisor-enumeration and Fraction-Euclid oracles."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from k3lattices.polynomials import Poly, extract_rational_roots, poly_gcd
+
+from oracles import divisor_rational_roots, euclid_gcd
+
+T = Poly.monomial(1)
+
+
+def product(factors):
+    out = Poly.constant(1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def linear(a, b):
+    """b*t - a, whose root is a/b."""
+    return Poly.of([-a, b])
+
+
+def repeated_rational_root(f):
+    """Whether the oracle sees a rational root of gcd(f, f')."""
+    g = euclid_gcd(f.coeffs, f.derivative().coeffs)
+    if len(g) <= 1:
+        return False
+    scale = math.lcm(*(c.denominator for c in g))
+    return bool(divisor_rational_roots([c * scale for c in g]))
+
+
+def check_roots(f, expected):
+    """extract_rational_roots(f) against the expected roots, or, when f is
+    not squarefree, against the documented ValueError."""
+    squarefree = len(euclid_gcd(f.coeffs, f.derivative().coeffs)) == 1
+    if not squarefree:
+        if repeated_rational_root(f):
+            with pytest.raises(ValueError):
+                extract_rational_roots(f)
+            return
+        try:
+            roots, cofactor = extract_rational_roots(f)
+        except ValueError:
+            return
+    else:
+        roots, cofactor = extract_rational_roots(f)
+    assert roots == expected
+    rebuilt = cofactor * product(Poly.of([-r, 1]) for r in roots)
+    assert rebuilt == f
+    assert cofactor.leading == f.leading
+
+
+small = st.integers(-9, 9)
+cofactors = st.lists(small, min_size=2, max_size=3).flatmap(
+    lambda low: st.sampled_from([1, 2, 3, 6, 30030, 2 * 30030]).map(
+        lambda lead: Poly.of(low + [lead])))
+linear_factors = st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 8)),
+                          max_size=4)
+scales = st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-30030, 11)])
+
+
+@settings(deadline=None, max_examples=80)
+@given(factors=linear_factors, cofactor=cofactors, scale=scales)
+def test_roots_of_linear_factors_times_a_cofactor(factors, cofactor, scale):
+    f = product([linear(a, b) for a, b in factors] + [cofactor]) * scale
+    expected = {Fraction(a, b) for a, b in factors}
+    expected |= set(divisor_rational_roots(cofactor.coeffs))
+    check_roots(f, sorted(expected))
+
+
+prime_powers = st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 6)).map(
+    lambda pe: pe[0] ** pe[1])
+
+
+@settings(deadline=None, max_examples=60)
+@given(roots=st.lists(st.tuples(prime_powers, prime_powers, st.sampled_from([1, -1])),
+                      min_size=1, max_size=3),
+       cofactor=cofactors)
+def test_roots_with_prime_power_numerators_and_denominators(roots, cofactor):
+    f = product([linear(sign * a, b) for a, b, sign in roots] + [cofactor])
+    expected = {Fraction(sign * a, b) for a, b, sign in roots}
+    expected |= set(divisor_rational_roots(cofactor.coeffs))
+    check_roots(f, sorted(expected))
+
+
+@settings(deadline=None, max_examples=80)
+@given(coeffs=st.lists(st.integers(-40, 40), min_size=1, max_size=7))
+def test_roots_of_random_integer_polynomials(coeffs):
+    f = Poly.of(coeffs)
+    if f.is_zero:
+        with pytest.raises(ValueError):
+            extract_rational_roots(f)
+        return
+    check_roots(f, divisor_rational_roots(f.coeffs))
+
+
+def test_prime_search_skips_primes_dividing_the_leading_coefficient():
+    # every prime up to 13 divides 30030, so the search starts at 17
+    rng = random.Random(5)
+    for _ in range(40):
+        factors = [(rng.randint(-50, 50), rng.choice([1, 7, 11, 13, 143, 1001]))
+                   for _ in range(rng.randint(1, 3))]
+        cofactor = Poly.of([rng.randint(1, 99), 0, 30030])
+        f = product([linear(a, b) for a, b in factors] + [cofactor])
+        expected = sorted({Fraction(a, b) for a, b in factors})
+        check_roots(f, expected)
+
+
+def test_squarefree_input_with_repeated_roots_mod_small_primes():
+    # t^2 + 1 = (t + 1)^2 mod 2; the search pays one gcd and moves on
+    f = (T - Poly.constant(2)) * (T * T + Poly.constant(1))
+    roots, cofactor = extract_rational_roots(f)
+    assert roots == [Fraction(2)]
+    assert cofactor == T * T + Poly.constant(1)
+
+
+@pytest.mark.parametrize("f", [
+    T ** 2 * (T - Poly.constant(1)) ** 3 * (T ** 2 + Poly.constant(1)),
+    (T - Poly.constant(1)) ** 2,
+    T ** 2 * (T + Poly.constant(5)),
+    (Poly.of([-1, 3])) ** 2 * (Poly.of([2, 0, 30030])),
+], ids=["t2-t1cubed-t2p1", "t1-squared", "t-squared", "third-squared-30030"])
+def test_repeated_rational_root_raises(f):
+    with pytest.raises(ValueError, match="squarefree"):
+        extract_rational_roots(f)
+
+
+def test_repeated_irrational_factor_ends():
+    # no repeated rational root: either an answer or the documented error
+    f = (T * T + Poly.constant(1)) ** 2 * (T - Poly.constant(3))
+    try:
+        roots, cofactor = extract_rational_roots(f)
+    except ValueError:
+        return
+    assert roots == [Fraction(3)]
+    assert cofactor * (T - Poly.constant(3)) == f
+
+
+def random_poly(rng, degree):
+    if degree < 0:
+        return Poly.of([])
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
+    return Poly.of(coeffs + [Fraction(rng.choice([1, -2, 3, 30030]), rng.randint(1, 4))])
+
+
+def test_gcd_matches_fraction_euclid_on_shared_factors():
+    rng = random.Random(17)
+    for _ in range(150):
+        f, g, h = (random_poly(rng, rng.randint(-1, 4)) for _ in range(3))
+        a, b = f * h, g * h
+        assert list(poly_gcd(a, b).coeffs) == euclid_gcd(a.coeffs, b.coeffs)
+        assert list(poly_gcd(b, a).coeffs) == euclid_gcd(b.coeffs, a.coeffs)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([], []), ([], [0, 3]), ([Fraction(5, 2)], []), ([], [Fraction(-4, 3), 2]),
+    ([7], [0, 0, 30030]), ([1, 2, 1], [-1, 0, 1]),
+])
+def test_gcd_with_zero_and_constant_arguments(a, b):
+    assert list(poly_gcd(Poly.of(a), Poly.of(b)).coeffs) == euclid_gcd(a, b)
+
+
+fraction_coeffs = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                           max_size=5)
+
+
+@settings(deadline=None, max_examples=80)
+@given(f=fraction_coeffs, g=fraction_coeffs, h=fraction_coeffs)
+def test_gcd_matches_fraction_euclid_generated(f, g, h):
+    a, b = Poly.of(f) * Poly.of(h), Poly.of(g) * Poly.of(h)
+    assert list(poly_gcd(a, b).coeffs) == euclid_gcd(a.coeffs, b.coeffs)
