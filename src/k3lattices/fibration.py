@@ -72,8 +72,12 @@ class WeierstrassModel:
             raise ValueError("deg a4 exceeds the K3 bound of 8")
         if self.a6.degree > 12:
             raise ValueError("deg a6 exceeds the K3 bound of 12")
-        if discriminant_poly(self).is_zero:
+        if self.discriminant.is_zero:
             raise ValueError("the discriminant vanishes identically")
+
+    @cached_property
+    def discriminant(self) -> Poly:
+        return (self.a4_cubed * 4 + self.a6 * self.a6 * 27) * -16
 
     @classmethod
     def from_a4(cls, a4: Poly, a6: Poly, label: str = "") -> "WeierstrassModel":
@@ -88,7 +92,7 @@ class WeierstrassModel:
 
 
 def discriminant_poly(w: WeierstrassModel) -> Poly:
-    return (w.a4_cubed * 4 + w.a6 * w.a6 * 27) * -16
+    return w.discriminant
 
 
 def _third(v: int) -> int:
@@ -97,17 +101,10 @@ def _third(v: int) -> int:
     return v // 3
 
 
-def _finite_valuations(w: WeierstrassModel,
-                       r: Fraction) -> tuple[int | None, int | None, int]:
-    v4 = None if w.a4_cubed.is_zero else _third(w.a4_cubed.valuation_at(r))
-    v6 = None if w.a6.is_zero else w.a6.valuation_at(r)
-    return v4, v6, discriminant_poly(w).valuation_at(r)
-
-
 def _infinite_valuations(w: WeierstrassModel) -> tuple[int | None, int | None, int]:
     v4 = None if w.a4_cubed.is_zero else 8 - _third(w.a4_cubed.degree)
     v6 = None if w.a6.is_zero else 12 - w.a6.degree
-    return v4, v6, 24 - discriminant_poly(w).degree
+    return v4, v6, 24 - w.discriminant.degree
 
 
 def _kodaira_from_valuations(v4: int | None, v6: int | None, vd: int) -> str:
@@ -181,19 +178,48 @@ class FiberReport:
     count: int = 1
 
 
-def classify_place(w: WeierstrassModel, place: Place) -> FiberReport:
-    if place is INFINITY:
-        v4, v6, vd = _infinite_valuations(w)
-        label = "inf"
-    else:
-        r = place if isinstance(place, Fraction) else Fraction(place)
-        v4, v6, vd = _finite_valuations(w, r)
-        label = str(r)
+def _fiber_type(v4: int | None, v6: int | None,
+                vd: int) -> tuple[str, int, int, str | None]:
+    """(tag, euler, components, root) of a valuation triple, whose Euler
+    number must equal v(Delta)."""
     tag = _kodaira_from_valuations(v4, v6, vd)
     euler, components, root = kodaira_data(tag)
     if euler != vd:
         raise ValueError(f"Euler number {euler} of {tag} disagrees with v(Delta) = {vd}")
-    return FiberReport(label, tag, euler, components, root)
+    return tag, euler, components, root
+
+
+def _split_valuations(f: Poly, modulus: Poly) -> list[tuple[Poly, int | None]]:
+    return [(modulus, None)] if f.is_zero else uniform_valuations(f, modulus)
+
+
+def _classify_roots(w: WeierstrassModel, modulus: Poly, vd: int) -> list[FiberReport]:
+    """Reports for the roots of a squarefree modulus on which v(Delta) = vd.
+
+    The modulus is split into pieces of constant v(a4) and v(a6); each
+    piece gives one report per rational root and one report bundling its
+    conjugate irrational roots, counted by degree.
+    """
+    reports = []
+    for h4, v4c in _split_valuations(w.a4_cubed, modulus):
+        v4 = None if v4c is None else _third(v4c)
+        for h6, v6 in _split_valuations(w.a6, h4):
+            fiber = _fiber_type(v4, v6, vd)
+            roots, rest = extract_rational_roots(h6)
+            reports.extend(FiberReport(str(r), *fiber) for r in roots)
+            if rest.degree > 0:
+                reports.append(FiberReport(format_poly(primitive_integer(rest)),
+                                           *fiber, count=rest.degree))
+    return reports
+
+
+def classify_place(w: WeierstrassModel, place: Place) -> FiberReport:
+    if place is INFINITY:
+        return FiberReport("inf", *_fiber_type(*_infinite_valuations(w)))
+    linear = Poly.of((-Fraction(place), 1))
+    [(_, vd)] = uniform_valuations(w.discriminant, linear)
+    [report] = _classify_roots(w, linear, vd)
+    return report
 
 
 @dataclass(frozen=True)
@@ -212,12 +238,6 @@ class FibrationAnalysis:
     @property
     def consistent(self) -> bool:
         return self.euler_ok and self.mw_rank >= 0
-
-
-def _split_valuations(f: Poly, modulus: Poly) -> list[tuple[Poly, int | None]]:
-    if f.is_zero:
-        return [(modulus, None)]
-    return [(piece, v) for piece, v in uniform_valuations(f, modulus)]
 
 
 def _report_key(r: FiberReport):
@@ -239,21 +259,10 @@ def analyze_k3(w: WeierstrassModel, ns_rank: int = 16) -> FibrationAnalysis:
     """
     reports: list[FiberReport] = []
     notes: list[str] = []
-    _, pieces = squarefree_parts(discriminant_poly(w))
+    _, pieces = squarefree_parts(w.discriminant)
     for piece, mult in pieces:
-        roots, rest = extract_rational_roots(piece)
-        for r in roots:
-            reports.append(classify_place(w, r))
-        if rest.degree > 0:
-            for h4, v4c in _split_valuations(w.a4_cubed, rest):
-                v4 = None if v4c is None else _third(v4c)
-                for h6, v6 in _split_valuations(w.a6, h4):
-                    tag = _kodaira_from_valuations(v4, v6, mult)
-                    euler, components, root = kodaira_data(tag)
-                    reports.append(FiberReport(
-                        format_poly(primitive_integer(h6)), tag, euler,
-                        components, root, count=h6.degree))
-    if 24 - discriminant_poly(w).degree > 0:
+        reports.extend(_classify_roots(w, piece, mult))
+    if 24 - w.discriminant.degree > 0:
         try:
             reports.append(classify_place(w, INFINITY))
         except NonMinimalModelError as err:

@@ -358,21 +358,17 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
 def saturate(basis: IntMatrix, ambient_rank: int) -> IntMatrix:
     """Basis of the primitive closure Q-span(basis) intersect Z^ambient_rank.
 
-    The basis columns must be independent.  Uses the double-orthogonal
-    trick: the closure is the integer kernel of the transpose of the
-    integer kernel of basis^T (ordinary dot product).
+    The basis columns must be independent.  With left @ basis @ right ==
+    diag(d), column j of basis @ right is d[j] times column j of left^-1;
+    those columns of the unimodular left^-1 span the closure.
     """
     if basis.rows != ambient_rank:
         raise ValueError("basis rows must equal the ambient rank")
-    d, _l, _r = smith_normal_form(basis)
-    rank = sum(1 for x in d if x != 0)
-    if rank != basis.cols:
+    d, _, right = smith_normal_form(basis)
+    if len(d) != basis.cols or 0 in d:
         raise ValueError("dependent columns cannot be saturated")
-    perp = integer_kernel(basis.transpose())
-    closure = integer_kernel(perp.transpose())
-    if closure.cols != basis.cols:
-        raise AssertionError("saturation changed the rank")
-    return closure
+    return IntMatrix.from_rows([[x // dj for x, dj in zip(row, d)]
+                                for row in (basis @ right).entries], cols=basis.cols)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

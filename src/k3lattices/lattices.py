@@ -320,7 +320,7 @@ def lattice_from_json(text: str) -> Lattice:
         raise ValueError("lattice JSON needs a 'gram' field")
     gram = data["gram"]
     if (not isinstance(gram, list)
-            or not all(isinstance(r, list) and all(isinstance(x, int) for x in r)
+            or not all(isinstance(r, list) and all(type(x) is int for x in r)
                        for r in gram)):
         raise ValueError("'gram' must be a list of integer rows")
     n = len(gram)

@@ -136,19 +136,6 @@ class Poly:
             raise ValueError("cannot normalize the zero polynomial")
         return self * (1 / self.leading)
 
-    def valuation_at(self, root: Rational) -> int:
-        """Multiplicity of `root`; zero when it is not a root."""
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no finite valuations")
-        root = _coerce(root)
-        linear = Poly((-root, Fraction(1)))
-        count = 0
-        current = self
-        while current.evaluate(root) == 0:
-            current = current // linear
-            count += 1
-        return count
-
     def __str__(self) -> str:
         return format_poly(self)
 

@@ -76,6 +76,15 @@ def test_lattice_info_malformed_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_lattice_info_rejects_boolean_entries(capsys, tmp_path):
+    path = tmp_path / "bools.json"
+    path.write_text('{"gram": [[true, 1], [1, false]]}')
+    code, out, err = run(capsys, "lattice-info", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- fibration ----------------------------------------------------------------
 
 def test_fibration_first_builtin(capsys):

@@ -180,6 +180,59 @@ def test_analyze_trivial_model_flags():
     assert not analysis.consistent
 
 
+def _reports(analysis):
+    return [(r.place, r.kodaira, r.euler, r.components, r.root_contribution, r.count)
+            for r in analysis.fibers]
+
+
+def test_analyze_piece_with_rational_and_irrational_roots():
+    # Delta = -8 t^2 (t^2 + 1)^2 (216 t^4 + ...): one Yun piece of
+    # multiplicity 2 holds both the root 0 and the factor t^2 + 1
+    w = weierstrass_from_json(
+        '{"a4": ["0", "1/2", "0", "1/2"], "a6": ["0", "8", "8", "10", "8", "2"]}')
+    analysis = analyze_k3(w)
+    assert _reports(analysis) == [
+        ("0", "II", 2, 1, None, 1),
+        ("216*t^4 + 1729*t^3 + 5184*t^2 + 6913*t + 3456", "I1", 1, 1, None, 4),
+        ("t^2 + 1", "II", 2, 1, None, 2),
+    ]
+    assert analysis.euler_total == 10
+    assert analysis.mw_rank == 14
+    assert analysis.notes == ("place at infinity skipped: model is not minimal "
+                              "here; substitute x -> u^2 x, y -> u^3 y to divide "
+                              "(a4, a6) by (u^4, u^6) and retry",)
+
+
+A4_ZERO = '{"a4": [], "a6": ["4", "2", "6", "3", "0", "0", "-2", "-1"]}'
+
+
+def test_analyze_model_without_a4():
+    w = weierstrass_from_json(A4_ZERO)
+    analysis = analyze_k3(w)
+    assert _reports(analysis) == [
+        ("-2", "II", 2, 1, None, 1),
+        ("t^2 + 1", "IV", 4, 3, "A2", 2),
+        ("t^2 - 2", "II", 2, 1, None, 2),
+        ("inf", "II*", 10, 9, "E8", 1),
+    ]
+    assert (analysis.euler_total, analysis.mw_rank, analysis.notes) == (24, 2, ())
+
+
+def test_classify_place_matches_analysis_at_rational_places():
+    models = [weierstrass_model("i7e8"), weierstrass_model("e7e6"),
+              weierstrass_from_json(A4_ZERO)]
+    for w in models:
+        for report in analyze_k3(w).fibers:
+            if report.count == 1:
+                place = INFINITY if report.place == "inf" else Fraction(report.place)
+                assert classify_place(w, place) == report
+
+
+def test_discriminant_is_built_once_per_model():
+    w = weierstrass_model("i7e8")
+    assert discriminant_poly(w) is discriminant_poly(w) is w.discriminant
+
+
 # --- fiber graphs ---------------------------------------------------------
 
 def test_fiber_graphs_satisfy_affine_balance():

@@ -263,6 +263,30 @@ def test_saturate_is_idempotent():
             assert solve_rational(sat, col) is not NO_SOLUTION
 
 
+def test_saturate_closure_contains_basis_with_index_of_invariants():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        basis = random_matrix(rng, n, k, -6, 6)
+        d, _, _ = smith_normal_form(basis)
+        if 0 in d:
+            continue
+        closure = saturate(basis, n)
+        assert closure.rows == n and closure.cols == k
+        dc, _, _ = smith_normal_form(closure)
+        assert all(x == 1 for x in dc)
+        coords = [solve_integer(closure, basis.col(j)) for j in range(k)]
+        assert NO_SOLUTION not in coords
+        index = 1
+        for x in d:
+            index *= x
+        assert abs(det_exact(IntMatrix.from_rows(coords).transpose())) == index
+        checked += 1
+    assert checked > 40
+
+
 def test_saturate_rejects_dependent_columns():
     with pytest.raises(ValueError):
         saturate(IntMatrix.from_rows([[1, 2], [2, 4]]), 2)

@@ -1,0 +1,98 @@
+"""Generated checks of the normal-form witnesses, Bareiss and signature.
+
+Matrices stay at most 6x6 so that the cofactor oracle and the whole file
+run in a few seconds.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from k3lattices.intmat import IntMatrix, det_exact, hermite_normal_form, smith_normal_form
+from k3lattices.lattices import Lattice, signature
+
+from oracles import cofactor_det, gauss_det
+
+entries = st.integers(-9, 9) | st.just(0)
+sizes = st.integers(1, 6)
+
+
+@st.composite
+def matrices(draw, square=False):
+    rows = draw(sizes)
+    cols = rows if square else draw(sizes)
+    if draw(st.booleans()):
+        # a product through a narrower middle has deficient rank
+        k = draw(st.integers(0, min(rows, cols)))
+        a = IntMatrix.from_rows([[draw(entries) for _ in range(k)] for _ in range(rows)], cols=k)
+        b = IntMatrix.from_rows([[draw(entries) for _ in range(cols)] for _ in range(k)], cols=cols)
+        return a @ b
+    return IntMatrix.from_rows([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(sizes)
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    return IntMatrix.from_rows([[upper[min(i, j), max(i, j)] for j in range(n)]
+                                for i in range(n)])
+
+
+def is_unimodular(u):
+    return u.rows == u.cols and abs(gauss_det(u.to_lists())) == 1
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(m=matrices())
+def test_hermite_form_witness(m):
+    h, u = hermite_normal_form(m)
+    assert u @ m == h
+    assert is_unimodular(u)
+    pivots = []
+    for i in range(h.rows):
+        j = next((j for j in range(h.cols) if h[i, j]), None)
+        if j is None:
+            assert all(not any(h.row(k)) for k in range(i, h.rows)), "zero rows trail"
+            break
+        pivots.append((i, j))
+    assert [j for _, j in pivots] == sorted({j for _, j in pivots}), "echelon form"
+    for i, j in pivots:
+        assert h[i, j] > 0
+        assert all(0 <= h[r, j] < h[i, j] for r in range(i))
+
+
+@settings(deadline=None, max_examples=150)
+@given(m=matrices())
+def test_smith_form_witness(m):
+    d, left, right = smith_normal_form(m)
+    assert len(d) == min(m.rows, m.cols)
+    diag = IntMatrix.from_rows([[d[i] if i == j and i < len(d) else 0 for j in range(m.cols)]
+                                for i in range(m.rows)])
+    assert left @ m @ right == diag
+    assert is_unimodular(left) and is_unimodular(right)
+    assert all(x >= 0 for x in d)
+    for x, y in zip(d, d[1:]):
+        assert y % x == 0 if x else y == 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(m=matrices(square=True))
+def test_bareiss_matches_oracles(m):
+    rows = m.to_lists()
+    assert det_exact(m) == cofactor_det(rows) == gauss_det(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(g=symmetric_matrices())
+def test_signature_counts_and_sign(g):
+    lattice = Lattice(g)
+    sig = signature(lattice)
+    assert min(sig.positive, sig.negative, sig.zero) >= 0
+    assert sig.positive + sig.negative + sig.zero == lattice.rank
+    d, _, _ = smith_normal_form(g)
+    assert sig.zero == lattice.rank - sum(1 for x in d if x)
+    if lattice.det != 0:
+        assert sig.zero == 0
+        assert (-1) ** sig.negative == sign(lattice.det)

@@ -105,13 +105,13 @@ def test_derivative_and_monic():
         Poly.of([]).monic()
 
 
-def test_valuation_at_counts_multiplicity():
+def test_uniform_valuations_counts_multiplicity_at_a_root():
     f = (T - 2 * ONE) ** 3 * (T + ONE)
-    assert f.valuation_at(2) == 3
-    assert f.valuation_at(-1) == 1
-    assert f.valuation_at(0) == 0
+    assert uniform_valuations(f, T - 2 * ONE) == [(T - 2 * ONE, 3)]
+    assert uniform_valuations(f, T + ONE) == [(T + ONE, 1)]
+    assert uniform_valuations(f, T) == [(T, 0)]
     with pytest.raises(ValueError):
-        Poly.of([]).valuation_at(1)
+        uniform_valuations(Poly.of([]), T - ONE)
 
 
 def test_squarefree_parts_reconstructs():
