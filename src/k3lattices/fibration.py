@@ -193,6 +193,14 @@ def _split_valuations(f: Poly, modulus: Poly) -> list[tuple[Poly, int | None]]:
     return [(modulus, None)] if f.is_zero else uniform_valuations(f, modulus)
 
 
+def _a4_valuations(w: WeierstrassModel, modulus: Poly) -> list[tuple[Poly, int | None]]:
+    """The modulus split by v(a4), read off a4 itself when the model has it."""
+    if w.a4 is not None:
+        return _split_valuations(w.a4, modulus)
+    return [(h, None if v is None else _third(v))
+            for h, v in _split_valuations(w.a4_cubed, modulus)]
+
+
 def _classify_roots(w: WeierstrassModel, modulus: Poly, vd: int) -> list[FiberReport]:
     """Reports for the roots of a squarefree modulus on which v(Delta) = vd.
 
@@ -201,8 +209,7 @@ def _classify_roots(w: WeierstrassModel, modulus: Poly, vd: int) -> list[FiberRe
     conjugate irrational roots, counted by degree.
     """
     reports = []
-    for h4, v4c in _split_valuations(w.a4_cubed, modulus):
-        v4 = None if v4c is None else _third(v4c)
+    for h4, v4 in _a4_valuations(w, modulus):
         for h6, v6 in _split_valuations(w.a6, h4):
             fiber = _fiber_type(v4, v6, vd)
             roots, rest = extract_rational_roots(h6)

@@ -1,11 +1,13 @@
 """Exact univariate polynomials over the rationals.
 
-Coefficients are Fractions stored in ascending order with trailing
-zeros stripped, so tuple equality is polynomial equality.  The zero
-polynomial has degree -1 by convention.  Nothing here knows about
-elliptic surfaces; this is the arithmetic substrate for discriminant
-analysis: division, gcd, squarefree splitting, rational roots, and
-valuation refinement against squarefree moduli.
+A Poly is a primitive integer coefficient tuple (ascending, leading entry
+positive) times one rational content that carries the sign, so field
+equality is polynomial equality; the zero polynomial is () with degree -1.
+By Gauss's lemma products and exact quotients of primitive polynomials are
+primitive, so the algorithms loop over int and touch the content once.
+Nothing here knows about elliptic surfaces; this is the arithmetic
+substrate for discriminant analysis: division, gcd, squarefree splitting,
+rational roots, and valuation refinement against squarefree moduli.
 """
 
 from __future__ import annotations
@@ -13,181 +15,209 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from itertools import count
+from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
 
 
-def _coerce(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+def _exact(value: Rational) -> Rational:
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    return value
 
 
-@dataclass(frozen=True)
+def _scaled(cs: list[int], scale: Fraction) -> "Poly":
+    """scale * sum(cs[i] * t^i) in normal form; trims cs in place."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        return ZERO
+    g = math.gcd(*cs) if cs[-1] > 0 else -math.gcd(*cs)
+    return Poly(tuple(c // g for c in cs), scale * g)
+
+
+def _monic(cs: Sequence[int]) -> "Poly":
+    return Poly(tuple(cs), Fraction(1, cs[-1]))
+
+
+@dataclass(frozen=True, slots=True)
 class Poly:
-    coeffs: tuple[Fraction, ...]
+    """content * sum(ints[i] * t^i); build one with of, constant or monomial."""
 
-    def __post_init__(self) -> None:
-        cs = [_coerce(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    ints: tuple[int, ...]
+    content: Fraction
 
     @classmethod
     def of(cls, coeffs: Iterable[Rational]) -> "Poly":
-        return cls(tuple(_coerce(c) for c in coeffs))
+        cs = [_exact(c) for c in coeffs]
+        scale = math.lcm(*(c.denominator for c in cs))
+        return _scaled([c.numerator * (scale // c.denominator) for c in cs],
+                       Fraction(1, scale))
 
     @classmethod
     def constant(cls, value: Rational) -> "Poly":
-        return cls((_coerce(value),))
+        return cls.of((value,))
 
     @classmethod
     def monomial(cls, degree: int, coeff: Rational = 1) -> "Poly":
         if degree < 0:
             raise ValueError("monomial degree must be non-negative")
-        return cls((Fraction(0),) * degree + (_coerce(coeff),))
+        return ZERO if _exact(coeff) == 0 else cls((0,) * degree + (1,), Fraction(coeff))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self.content * c for c in self.ints)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        if self.is_zero or other.is_zero:
+            return other if self.is_zero else self
+        # na/da * a + nb/db * b = h/(da*db) * (u*a + v*b)
+        (na, da), (nb, db) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
+        h = math.gcd(na * db, nb * da)
+        u, v, a, b = na * db // h, nb * da // h, self.ints, other.ints
         if len(a) < len(b):
-            a, b = b, a
-        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+            a, b, u, v = b, a, v, u
+        cs = [u * x for x in a]
+        for i, y in enumerate(b):
+            cs[i] += v * y
+        return _scaled(cs, Fraction(h, da * db))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(self.ints, -self.content)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: Union["Poly", Rational]) -> "Poly":
         if not isinstance(other, Poly):
-            scalar = _coerce(other)
-            return Poly(tuple(c * scalar for c in self.coeffs))
+            if _exact(other) == 0 or self.is_zero:
+                return ZERO
+            return Poly(self.ints, self.content * other)
         if self.is_zero or other.is_zero:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
+            return ZERO
+        out = [0] * (len(self.ints) + len(other.ints) - 1)
+        for i, a in enumerate(self.ints):
+            for j, b in enumerate(other.ints, i):
+                out[j] += a * b
+        return Poly(tuple(out), self.content * other.content)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        out = Poly.constant(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return math.prod([self] * exponent, start=Poly.constant(1))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        lead = other.leading
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + other.degree] / lead
-            if c == 0:
-                continue
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-        return Poly(tuple(quot)), Poly(tuple(rem))
+        steps = len(self.ints) - len(other.ints) + 1
+        if steps <= 0:
+            return ZERO, self
+        # scaled by lead^steps, every step of the long division is exact
+        scale = other.ints[-1] ** steps
+        quot, rem = _divide([c * scale for c in self.ints], other.ints)
+        return (_scaled(quot, self.content / (other.content * scale)),
+                _scaled(rem, self.content / scale))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
+        """The exact quotient; ValueError unless other divides self."""
+        quot, rem = divmod(self, other)
+        if not rem.is_zero:
+            raise ValueError("the divisor does not divide exactly")
+        return quot
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
     def evaluate(self, x: Rational) -> Fraction:
-        x = _coerce(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        n, d = _exact(x).numerator, x.denominator
+        if self.is_zero:
+            return Fraction(0)
+        return self.content * Fraction(_homogeneous(self.ints, n, d), d ** self.degree)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+        return _scaled([k * c for k, c in enumerate(self.ints)][1:], self.content)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        return self * (1 / self.leading)
+        return _monic(self.ints)
 
     def __str__(self) -> str:
         return format_poly(self)
 
 
-def _integer_coeffs(f: Poly) -> list[int]:
-    """Coprime integer coefficients, positive leading one, proportional to
-    a nonzero f."""
-    scale = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in f.coeffs]
-    content = math.gcd(*ints)
-    if ints[-1] < 0:
-        content = -content
-    return [c // content for c in ints]
+ZERO = Poly((), Fraction(0))
 
 
-def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of a pseudo-remainder of a by b, for integer
-    coefficient lists (ascending, nonzero leading entry, len(a) >= len(b));
-    [] when b divides a."""
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b):
+def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Integer lists q and r with a = q*b + r and len(r) < len(b);
+    ValueError when a coefficient of q is not an integer.  A primitive b
+    that divides a primitive a over Q leaves r = 0 and a primitive q."""
+    rem, lead, n = list(a), b[-1], len(b) - 1
+    quot = [0] * max(len(a) - n, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + n], lead)
+        if r:
+            raise ValueError("the divisor does not divide exactly")
+        quot[k] = c
+        for j in range(n):
+            rem[k + j] -= c * b[j]
+    return quot, rem[:n]
+
+
+def _primitive_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive part, positive leading entry, of a pseudo-remainder of a
+    by b, for integer coefficient lists (ascending, nonzero leading entry,
+    len(a) >= len(b)); [] when b divides a."""
+    r, lead, n = list(a), b[-1], len(b) - 1
+    while len(r) > n:
         g = math.gcd(lead, r[-1])
         u, v = lead // g, r[-1] // g
-        shift = len(r) - len(b)
-        r = [u * x for x in r]
-        for j, y in enumerate(b):
-            r[shift + j] -= v * y
+        shift = len(r) - 1 - n
+        # u*r - v*t^shift*b, whose top entry cancels
+        r = [u * x for x in r[:shift]] + [u * x - v * y for x, y in zip(r[shift:-1], b)]
         while r and r[-1] == 0:
             r.pop()
     content = math.gcd(*r)
-    return [x // content for x in r]
+    return [x // content for x in r] if r and r[-1] > 0 else [-x // content for x in r]
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) is 0.
-
-    Denominators are cleared once; the primitive pseudo-remainder sequence
-    of Brown (J. ACM 1971) then runs over int, dividing every remainder
-    by its content so that coefficients stay small.
-    """
-    if a.is_zero or b.is_zero:
-        rest = b if a.is_zero else a
-        return rest if rest.is_zero else rest.monic()
-    x, y = _integer_coeffs(a), _integer_coeffs(b)
+def _gcd_ints(x: Sequence[int], y: Sequence[int]) -> Sequence[int]:
+    """Primitive gcd of nonzero primitive integer lists with positive
+    leading entries, by Brown's primitive pseudo-remainder sequence (J. ACM
+    1971), which keeps coefficients small."""
     if len(x) < len(y):
         x, y = y, x
     while True:
         r = _primitive_remainder(x, y)
         if not r:
-            return Poly.of(y).monic()
+            return y
         x, y = y, r
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor; gcd(0, 0) is 0."""
+    if a.is_zero or b.is_zero:
+        rest = b if a.is_zero else a
+        return rest if rest.is_zero else rest.monic()
+    return _monic(_gcd_ints(a.ints, b.ints))
 
 
 def squarefree_parts(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
@@ -195,46 +225,36 @@ def squarefree_parts(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     pairwise coprime monic pieces, returned in increasing multiplicity."""
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
-    unit = f.leading
-    f = f.monic()
     if f.degree == 0:
-        return unit, []
-    g = poly_gcd(f, f.derivative())
-    w = f // g
-    out = []
-    mult = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g)
-        piece = w // y
-        if piece.degree > 0:
-            out.append((piece, mult))
-        w = y
-        g = g // y
+        return f.leading, []
+    g = _gcd_ints(f.ints, f.derivative().ints)
+    w = _divide(f.ints, g)[0]
+    out, mult = [], 1
+    while len(w) > 1:
+        y = _gcd_ints(w, g)
+        piece = _divide(w, y)[0]
+        if len(piece) > 1:
+            out.append((_monic(piece), mult))
+        w, g = y, _divide(g, y)[0]
         mult += 1
-    return unit, out
+    return f.leading, out
 
 
 def uniform_valuations(f: Poly, modulus: Poly) -> list[tuple[Poly, int]]:
     """Split a squarefree modulus into monic pieces on whose roots f has
     constant valuation; returns (piece, valuation) pairs covering every
-    root, sorted by (valuation, text)."""
+    root, one piece per valuation, in increasing valuation."""
     if f.is_zero:
         raise ValueError("valuations of the zero polynomial are undefined")
-
-    def refine(current: Poly, h: Poly) -> list[tuple[Poly, int]]:
-        if h.degree <= 0:
-            return []
-        g = poly_gcd(current, h)
-        pieces = []
-        stays = h // g
-        if stays.degree > 0:
-            pieces.append((stays, 0))
-        if g.degree > 0:
-            pieces.extend((p, v + 1) for p, v in refine(current // g, g))
-        return pieces
-
-    result = refine(f, modulus.monic())
-    return sorted(result, key=lambda pv: (pv[1], format_poly(pv[0])))
+    pieces = []
+    current, h, v = f.ints, modulus.monic().ints, 0
+    while len(h) > 1:
+        g = _gcd_ints(current, h)
+        stays = _divide(h, g)[0]
+        if len(stays) > 1:
+            pieces.append((_monic(stays), v))
+        current, h, v = _divide(current, g)[0], g, v + 1
+    return pieces
 
 
 def primitive_integer(f: Poly) -> Poly:
@@ -242,7 +262,7 @@ def primitive_integer(f: Poly) -> Poly:
     leading coefficient proportional to f."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no primitive form")
-    return Poly.of(_integer_coeffs(f))
+    return Poly(f.ints, Fraction(1))
 
 
 def _value_mod(cs: list[int], x: int, m: int) -> int:
@@ -253,11 +273,7 @@ def _value_mod(cs: list[int], x: int, m: int) -> int:
 
 
 def _primes() -> Iterator[int]:
-    n = 2
-    while True:
-        if all(n % d for d in range(2, math.isqrt(n) + 1)):
-            yield n
-        n += 1
+    return (n for n in count(2) if all(n % d for d in range(2, math.isqrt(n) + 1)))
 
 
 def _simple_roots_mod_p(cs: list[int], deriv: list[int]) -> tuple[int, list[int]]:
@@ -266,7 +282,8 @@ def _simple_roots_mod_p(cs: list[int], deriv: list[int]) -> tuple[int, list[int]
 
     Only primes dividing the discriminant have a repeated root, so the
     search ends for squarefree input; anything else is caught by one gcd
-    the first time a repeated root shows up.
+    the first time a repeated root shows up (deriv need not be primitive:
+    only the degree of that gcd counts).
     """
     checked = False
     for p in _primes():
@@ -275,10 +292,9 @@ def _simple_roots_mod_p(cs: list[int], deriv: list[int]) -> tuple[int, list[int]
         roots = [x for x in range(p) if _value_mod(cs, x, p) == 0]
         if all(_value_mod(deriv, x, p) for x in roots):
             return p, roots
-        if not checked:
-            if poly_gcd(Poly.of(cs), Poly.of(deriv)).degree > 0:
-                raise ValueError("rational roots need a squarefree polynomial")
-            checked = True
+        if not checked and len(_gcd_ints(cs, deriv)) > 1:
+            raise ValueError("rational roots need a squarefree polynomial")
+        checked = True
 
 
 def _rational_from_residue(x: int, m: int, bound: int) -> tuple[int, int]:
@@ -295,22 +311,13 @@ def _rational_from_residue(x: int, m: int, bound: int) -> tuple[int, int]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _vanishes_at(cs: list[int], a: int, b: int) -> bool:
-    """Whether sum cs[i] * a^i * b^(n-i) is zero, i.e. cs has the root a/b."""
+def _homogeneous(cs: Sequence[int], a: int, b: int) -> int:
+    """sum cs[i] * a^i * b^(n-i) for n = len(cs) - 1, i.e. b^n * cs(a/b)."""
     acc, power = cs[-1], 1
     for c in reversed(cs[:-1]):
         power *= b
         acc = acc * a + c * power
-    return acc == 0
-
-
-def _divide_linear(cs: list[int], a: int, b: int) -> list[int]:
-    """Exact quotient of cs by b*t - a."""
-    quot, acc = [], 0
-    for c in reversed(cs[1:]):
-        acc = (c + a * acc) // b
-        quot.append(acc)
-    return quot[::-1]
+    return acc
 
 
 def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
@@ -327,14 +334,14 @@ def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
         raise ValueError("every rational is a root of the zero polynomial")
     if f.degree == 0:
         return [], f
-    cs = _integer_coeffs(f)
+    cs = list(f.ints)
     roots: list[Fraction] = []
     if cs[0] == 0:
         roots.append(Fraction(0))
         cs = cs[1:]
         if cs[0] == 0:
             raise ValueError("rational roots need a squarefree polynomial")
-    rest = cs
+    rest, denominators = cs, 1
     if len(cs) > 1:
         deriv = [k * c for k, c in enumerate(cs)][1:]
         p, residues = _simple_roots_mod_p(cs, deriv)
@@ -346,32 +353,24 @@ def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
                 x = (x - _value_mod(cs, x, m)
                      * pow(_value_mod(deriv, x, m), -1, m)) % m
             a, b = _rational_from_residue(x, m, abs(cs[0]))
-            if b <= cs[-1] and _vanishes_at(cs, a, b):
+            if b <= cs[-1] and _homogeneous(cs, a, b) == 0:
                 roots.append(Fraction(a, b))
-                rest = _divide_linear(rest, a, b)
+                rest = _divide(rest, (-a, b))[0]
+                denominators *= b
     if not roots:
         return [], f
     # dividing by the monic factors t - r keeps the leading coefficient of f
-    return sorted(roots), Poly.of(rest) * (f.leading / rest[-1])
+    return sorted(roots), _scaled(rest, f.content * denominators)
 
 
 def format_poly(f: Poly, var: str = "t") -> str:
     """Human formatting, descending powers: "t^7 - 2", "27*t^7 + 4"."""
-    if f.is_zero:
-        return "0"
     terms = []
-    for k in range(f.degree, -1, -1):
-        c = f.coeffs[k]
+    for k, c in reversed(list(enumerate(f.coeffs))):
         if c == 0:
             continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            power = var if k == 1 else f"{var}^{k}"
-            body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-        terms.append(("-" if c < 0 else "+", body))
-    sign, head = terms[0]
-    text = head if sign == "+" else f"-{head}"
-    for sign, body in terms[1:]:
-        text += f" {sign} {body}"
-    return text
+        power = var if k == 1 else f"{var}^{k}"
+        body = str(abs(c)) if k == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+        terms.append(f"{'-' if c < 0 else '+'} {body}")
+    text = " ".join(terms) or "+ 0"
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"

@@ -117,16 +117,41 @@ def _trim(coeffs):
     return coeffs
 
 
-def _fraction_remainder(a, b):
-    """Remainder of a by b, ascending Fraction coefficient lists."""
+def fraction_sum(a, b):
+    """Sum of ascending coefficient lists, term by term over Fractions."""
+    a, b = _trim(a), _trim(b)
+    longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
+    return _trim([x + (shorter[i] if i < len(shorter) else 0)
+                  for i, x in enumerate(longer)])
+
+
+def fraction_product(a, b):
+    """Product of ascending coefficient lists, one Fraction product per
+    pair of terms."""
+    a, b = _trim(a), _trim(b)
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def fraction_divmod(a, b):
+    """Quotient and remainder of ascending coefficient lists by schoolbook
+    long division over Fractions; b must be nonzero."""
+    a, b = _trim(a), _trim(b)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     rem = list(a)
     while len(rem) >= len(b):
         c = rem[-1] / b[-1]
         shift = len(rem) - len(b)
+        quot[shift] = c
         for j, y in enumerate(b):
             rem[shift + j] -= c * y
         rem = _trim(rem)
-    return rem
+    return _trim(quot), rem
 
 
 def euclid_gcd(a, b):
@@ -134,8 +159,55 @@ def euclid_gcd(a, b):
     Fractions; the empty list for gcd(0, 0)."""
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _fraction_remainder(a, b)
+        a, b = b, fraction_divmod(a, b)[1]
     return [c / a[-1] for c in a]
+
+
+def _derivative_gcds(f):
+    """[D_1, D_2, ..., [1]] for a nonzero f, where D_k = gcd(f, f', ...,
+    f^(k-1)) is monic: in characteristic 0 a root of multiplicity m is a
+    root of f^(j) of multiplicity m - j, so D_k holds it max(m - k + 1, 0)
+    times."""
+    f = _trim(f)
+    gcds, deriv = [[c / f[-1] for c in f]], f
+    while len(gcds[-1]) > 1:
+        deriv = [k * c for k, c in enumerate(deriv)][1:]
+        gcds.append(euclid_gcd(gcds[-1], deriv))
+    return gcds
+
+
+def _exact_layers(at_least):
+    """{k: at_least[k] / at_least[k + 1]} for the nonconstant quotients of
+    a divisor chain, over Fractions."""
+    out = {}
+    for k in range(len(at_least) - 1):
+        piece, rem = fraction_divmod(at_least[k], at_least[k + 1])
+        assert not rem
+        if len(piece) > 1:
+            out[k] = piece
+    return out
+
+
+def squarefree_by_derivative_gcds(f):
+    """(unit, {multiplicity: monic piece}) of a nonzero polynomial by
+    repeated gcds with its higher derivatives: D_k / D_(k+1) holds the
+    roots of multiplicity at least k, and two consecutive such quotients
+    divide to the roots of multiplicity exactly k."""
+    f = _trim(f)
+    gcds = _derivative_gcds(f)
+    at_least = [fraction_divmod(gcds[k], gcds[k + 1])[0] for k in range(len(gcds) - 1)]
+    layers = _exact_layers(at_least + [[Fraction(1)]])
+    return f[-1], {k + 1: piece for k, piece in layers.items()}
+
+
+def valuation_layers(f, modulus):
+    """{v: monic piece} splitting a squarefree modulus by the multiplicity v
+    of its roots in a nonzero f: the roots of valuation at least v >= 1 are
+    those of gcd(modulus, D_v), with D_v from _derivative_gcds."""
+    h = _trim(modulus)
+    at_least = [[c / h[-1] for c in h]]
+    at_least += [euclid_gcd(h, d) for d in _derivative_gcds(f)]
+    return _exact_layers(at_least)
 
 
 def _divisors_by_trial(n):

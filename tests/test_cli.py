@@ -5,6 +5,7 @@ import json
 import pytest
 
 from k3lattices.cli import main
+from k3lattices.fibration import weierstrass_from_json, weierstrass_to_json
 from k3lattices.lattices import lattice_to_json, make_named
 
 
@@ -244,6 +245,85 @@ def test_fibration_with_large_discriminant_constant(capsys, tmp_path, a4, place)
     code, out, _ = run(capsys, "fibration", str(path), "--json")
     assert code == 1
     assert json.loads(out) == _ten_i1_report(place)
+
+
+_NOT_MINIMAL_AT_INF = ("place at infinity skipped: model is not minimal here; "
+                       "substitute x -> u^2 x, y -> u^3 y to divide (a4, a6) by "
+                       "(u^4, u^6) and retry")
+_TABLE_HEAD = "fibration\n  place         type  count  euler  comps  root\n"
+
+# Weierstrass models with rational content and negative leading
+# coefficients, with their exact reports and exit codes
+RATIONAL_CONTENT_MODELS = [
+    pytest.param(
+        {"a4": ["1/2", "0", "3/7"], "a6": ["-5/3", 0, 0, 0, 0, 0, 0, "2/9"]}, 0,
+        {"consistent": True, "euler_total": "24", "fibers": [
+            {"components": "1", "count": "14", "euler": "1",
+             "place": "2744*t^14 - 41160*t^7 + 648*t^6 + 2268*t^4 + 2646*t^2 + 155379",
+             "root": "-", "type": "I1"},
+            {"components": "9", "count": "1", "euler": "10", "place": "inf",
+             "root": "E8", "type": "II*"}],
+         "label": "", "mw_rank": "6", "notes": [], "ns_rank": "16"},
+        _TABLE_HEAD
+        + "  2744*t^14 - 41160*t^7 + 648*t^6 + 2268*t^4 + 2646*t^2 + 155379"
+        "I1    14     1      1      -\n"
+        "  inf           II*   1      10     9      E8\n"
+        "  Euler total 24\n  NS rank     16\n  MW rank     6\n",
+        id="fractional-a4-a6"),
+    pytest.param(
+        {"a4_cubed": "-27/4", "a6": ["-1", 0, 0, 0, 0, 0, 0, "-3/7"]}, 0,
+        {"consistent": True, "euler_total": "24", "fibers": [
+            {"components": "7", "count": "1", "euler": "7", "place": "0",
+             "root": "A6", "type": "I7"},
+            {"components": "1", "count": "7", "euler": "1", "place": "3*t^7 + 14",
+             "root": "-", "type": "I1"},
+            {"components": "9", "count": "1", "euler": "10", "place": "inf",
+             "root": "E8", "type": "II*"}],
+         "label": "", "mw_rank": "0", "notes": [], "ns_rank": "16"},
+        _TABLE_HEAD
+        + "  0             I7    1      7      7      A6\n"
+        "  3*t^7 + 14    I1    7      1      1      -\n"
+        "  inf           II*   1      10     9      E8\n"
+        "  Euler total 24\n  NS rank     16\n  MW rank     0\n",
+        id="a4-cubed-negative-a6"),
+    pytest.param(
+        {"a4": [0, 1], "a6": [0, 0, 1]}, 1,
+        {"consistent": False, "euler_total": "4", "fibers": [
+            {"components": "1", "count": "1", "euler": "1", "place": "-4/27",
+             "root": "-", "type": "I1"},
+            {"components": "2", "count": "1", "euler": "3", "place": "0",
+             "root": "A1", "type": "III"}],
+         "label": "", "mw_rank": "13", "notes": [_NOT_MINIMAL_AT_INF], "ns_rank": "16"},
+        _TABLE_HEAD
+        + "  -4/27         I1    1      1      1      -\n"
+        "  0             III   1      3      2      A1\n"
+        "  Euler total 4\n  NS rank     16\n  MW rank     13\n"
+        f"  note: {_NOT_MINIMAL_AT_INF}\n"
+        "  FLAG: Euler numbers sum to 4, not 24\n",
+        id="rational-root-minus-4-27"),
+]
+
+
+@pytest.mark.parametrize("model, code, report, text", RATIONAL_CONTENT_MODELS)
+def test_fibration_reports_of_rational_content_models(capsys, tmp_path, model,
+                                                      code, report, text):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run(capsys, "fibration", str(path), "--json") == (
+        code, json.dumps(report, indent=2, sort_keys=True) + "\n", "")
+    assert run(capsys, "fibration", str(path)) == (code, text, "")
+
+
+@pytest.mark.parametrize("model, text", [
+    ({"a4": ["1/2", "0", "3/7"], "a6": ["-5/3", 0, 0, 0, 0, 0, 0, "2/9"]},
+     '{"a4": ["1/2", "0", "3/7"], "a6": ["-5/3", "0", "0", "0", "0", "0", "0", '
+     '"2/9"], "label": ""}'),
+    ({"a4_cubed": "-27/4", "a6": ["-1", 0, 0, 0, 0, 0, 0, "-3/7"]},
+     '{"a4_cubed": "-27/4", "a6": ["-1", "0", "0", "0", "0", "0", "0", "-3/7"], '
+     '"label": ""}'),
+], ids=["fractional-a4-a6", "a4-cubed-negative-a6"])
+def test_weierstrass_json_of_rational_content_models(model, text):
+    assert weierstrass_to_json(weierstrass_from_json(json.dumps(model))) == text
 
 
 def test_fibration_unknown_source(capsys):

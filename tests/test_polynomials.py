@@ -44,6 +44,8 @@ def test_normalization_strips_trailing_zeros():
 def test_coefficients_must_be_exact():
     with pytest.raises(TypeError):
         Poly.of([0.5])
+    with pytest.raises(TypeError):
+        Poly.of([True, 1])
 
 
 def test_arithmetic_identities():
