@@ -91,7 +91,7 @@ def _fiber_row(place: str, kodaira: str, count: int) -> tuple:
 def _print_fiber_table(rows: list[tuple]) -> None:
     print(f"  {'place':<14}{'type':<6}{'count':<7}{'euler':<7}{'comps':<7}root")
     for place, kodaira, count, euler, components, root in rows:
-        print(f"  {place:<14}{kodaira:<6}{count:<7}{euler:<7}{components:<7}{root}")
+        print(f"  {place:<13} {kodaira:<6}{count:<7}{euler:<7}{components:<7}{root}")
 
 
 def _report_analysis(analysis: FibrationAnalysis, as_json: bool) -> int:

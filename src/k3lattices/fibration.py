@@ -314,7 +314,7 @@ def fiber_graph(tag: str) -> FiberGraph:
         n = int(m.group(1))
         if n < 4:
             raise ValueError(f"no dual graph for {tag!r}")
-        cycle = tuple((i, (i + 1) % n, 1) for i in range(n))
+        cycle = tuple([(i, (i + 1) % n, 1) for i in range(n)])
         return FiberGraph((1,) * n, cycle)
     if m:
         n = int(m.group(1))
@@ -328,10 +328,10 @@ def fiber_graph(tag: str) -> FiberGraph:
                           ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1),
                            (2, 5, 1), (5, 6, 1)))
     if tag == "III*":
-        chain = tuple((i, i + 1, 1) for i in range(6))
+        chain = tuple([(i, i + 1, 1) for i in range(6)])
         return FiberGraph((1, 2, 3, 4, 3, 2, 1, 2), chain + ((3, 7, 1),))
     if tag == "II*":
-        chain = tuple((i, i + 1, 1) for i in range(7))
+        chain = tuple([(i, i + 1, 1) for i in range(7)])
         return FiberGraph((1, 2, 3, 4, 5, 6, 4, 2, 3), chain + ((5, 8, 1),))
     raise ValueError(f"unknown Kodaira type {tag!r}")
 
@@ -456,7 +456,7 @@ def build_neron_severi(model: FibrationModel) -> NeronSeveri:
 
     vectors: dict[str, tuple[int, ...]] = {}
     for k, label in enumerate(basis):
-        vectors[label] = tuple(1 if i == k else 0 for i in range(n))
+        vectors[label] = tuple([1 if i == k else 0 for i in range(n)])
     for spec, graph in placed:
         identity = [0] * n
         identity[1] = 1
@@ -555,7 +555,7 @@ def fiber_specs_from_json(data) -> tuple[tuple[FiberSpec, ...], int]:
             place=str(entry["place"]),
             kodaira=str(entry["type"]),
             identity=str(entry.get("identity", "")),
-            components=tuple(str(c) for c in entry.get("components", ())),
+            components=tuple([str(c) for c in entry.get("components", ())]),
             count=_json_int(entry.get("count", 1), "count"),
         ))
     return tuple(specs), _json_int(data["mw_rank"], "mw_rank")

@@ -120,7 +120,7 @@ class ChainWalk:
                 len(self.fixed_curves))
 
     def isolated(self, kind: str) -> tuple[tuple[str, ...], ...]:
-        return tuple(p.curves for p in self.points if p.kind == kind)
+        return tuple([p.curves for p in self.points if p.kind == kind])
 
 
 def walk_chain(edges: Iterable[tuple[str, str]],
@@ -230,7 +230,7 @@ def count_check(walk: ChainWalk, profile: FixedLocusProfile) -> bool:
 
 
 def linear_chain_edges(n: int, prefix: str = "C") -> tuple[tuple[str, str], ...]:
-    return tuple((f"{prefix}{i}", f"{prefix}{i + 1}") for i in range(1, n))
+    return tuple([(f"{prefix}{i}", f"{prefix}{i + 1}") for i in range(1, n)])
 
 
 def fixed_pair_search(n: int, prefix: str = "C") -> list[tuple[int, int]]:

@@ -52,7 +52,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple([tuple([int(x) for x in row]) for row in rows])
         if data:
             width = len(data[0])
         else:
@@ -61,11 +61,11 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        return IntMatrix(rows, cols, ((0,) * cols,) * rows)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -75,12 +75,12 @@ class IntMatrix:
         return self.entries[i]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+        return tuple([row[j] for row in self.entries])
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+                         tuple([tuple([self.entries[i][j] for i in range(self.rows)])
+                                for j in range(self.cols)]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -88,21 +88,21 @@ class IntMatrix:
         if self.cols == 0:
             return IntMatrix.zeros(self.rows, other.cols)
         tcols = other.transpose().entries
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in tcols)
+        out = tuple([
+            tuple([sum(a * b for a, b in zip(row, col)) for col in tcols])
             for row in self.entries
-        )
+        ])
         return IntMatrix(self.rows, other.cols, out)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-x for x in row) for row in self.entries))
+                         tuple([tuple([-x for x in row]) for row in self.entries]))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
         return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple(a + b for a, b in zip(self.entries, other.entries)))
+                         tuple([a + b for a, b in zip(self.entries, other.entries)]))
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -114,7 +114,7 @@ class IntMatrix:
 def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     if len(v) != m.cols:
         raise ValueError("vector length does not match matrix columns")
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.entries)
+    return tuple([sum(a * b for a, b in zip(row, v)) for row in m.entries])
 
 
 class NoSolution:
@@ -261,7 +261,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatr
             a[t] = [-x for x in a[t]]
             left[t] = [-x for x in left[t]]
 
-    d = tuple(a[t][t] for t in range(n))
+    d = tuple([a[t][t] for t in range(n)])
     return d, IntMatrix.from_rows(left, cols=rows), IntMatrix.from_rows(right, cols=cols)
 
 
@@ -350,7 +350,7 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     d, _left, right = smith_normal_form(m)
     free = [j for j in range(m.cols) if j >= len(d) or d[j] == 0]
     return IntMatrix.from_rows(
-        tuple(tuple(right.entries[i][j] for j in free) for i in range(m.cols)),
+        tuple([tuple([right.entries[i][j] for j in free]) for i in range(m.cols)]),
         cols=len(free),
     )
 

@@ -106,8 +106,8 @@ class DiscriminantGroup:
     @property
     def qvalues(self) -> tuple[Fraction, ...]:
         e = self.exponent
-        return tuple(Fraction(self.gram[i, i] % (2 * e), e)
-                     for i in range(len(self.invariant_factors)))
+        return tuple([Fraction(self.gram[i, i] % (2 * e), e)
+                      for i in range(len(self.invariant_factors))])
 
     def elements(self):
         """All group elements as coefficient tuples against the generators."""
@@ -123,8 +123,8 @@ class DiscriminantGroup:
                           for c, d in zip(coeffs, self.invariant_factors)))
 
     def vector(self, coeffs: Sequence[int]) -> RationalVector:
-        return tuple(sum(c * x for c, x in zip(coeffs, xs))
-                     for xs in zip(*self.generators))
+        return tuple([sum(c * x for c, x in zip(coeffs, xs))
+                      for xs in zip(*self.generators)])
 
 
 def _mod2(x: Fraction) -> Fraction:
@@ -205,10 +205,16 @@ def direct_sum(*parts: Lattice) -> Lattice:
 
 
 def signature(l: Lattice) -> Signature:
-    """Sylvester signature by exact rational congruence diagonalization."""
+    """Sylvester signature by fraction-free symmetric Bareiss elimination.
+
+    After each pivot the trailing entries are minors of a matrix congruent
+    to the Gram, so dividing by the previous pivot is exact, and a pivot
+    counts as positive when it has the sign of the previous one (Jacobi).
+    """
     n = l.rank
-    a = [[Fraction(l.gram[i, j]) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in l.gram.entries]
     pos = neg = zero = 0
+    prev = 1
     for i in range(n):
         if a[i][i] == 0:
             partner = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
@@ -217,22 +223,20 @@ def signature(l: Lattice) -> Signature:
                 continue
             # a[i][i] becomes a[p][p] +- 2 a[i][p]; one sign is nonzero
             s = 1 if a[partner][partner] + 2 * a[i][partner] != 0 else -1
-            for k in range(n):
+            for k in range(i, n):
                 a[i][k] += s * a[partner][k]
-            for k in range(n):
+            for k in range(i, n):
                 a[k][i] += s * a[k][partner]
-        if a[i][i] > 0:
+        pivot, row = a[i][i], a[i]
+        if (pivot > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for j in range(i + 1, n):
-            if a[i][j] == 0:
-                continue
-            f = a[i][j] / a[i][i]
-            for k in range(n):
-                a[j][k] -= f * a[i][k]
-            for k in range(n):
-                a[k][j] -= f * a[k][i]
+            aj, c = a[j], a[j][i]
+            for k in range(j, n):
+                aj[k] = a[k][j] = (pivot * aj[k] - c * row[k]) // prev
+        prev = pivot
     return Signature(pos, neg, zero)
 
 
@@ -246,9 +250,9 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
         raise ValueError("degenerate lattice has no discriminant group")
     d, _left, right = smith_normal_form(l.gram)
     kept = [i for i, di in enumerate(d) if di != 1]
-    factors = tuple(d[i] for i in kept)
-    gens = tuple(tuple(Fraction(right[k, i], d[i]) for k in range(l.rank))
-                 for i in kept)
+    factors = tuple([d[i] for i in kept])
+    gens = tuple([tuple([Fraction(right[k, i], d[i]) for k in range(l.rank)])
+                  for i in kept])
     # left @ gram @ right = diag(d) makes column j of gram @ right a multiple
     # of d[j], so b(g_i, g_j) has denominator dividing min(d_i, d_j) and
     # these divisions by d_i * d_j are exact
@@ -285,10 +289,10 @@ def glue_compatible(s: Lattice, t: Lattice) -> bool:
         seen = set()
         ok = True
         for coeffs in gs.elements():
-            img = tuple(
+            img = tuple([
                 sum(coeffs[i] * images[i][j] for i in range(len(factors))) % factors[j]
                 for j in range(len(factors))
-            )
+            ])
             if img in seen:
                 ok = False
                 break

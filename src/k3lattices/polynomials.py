@@ -34,7 +34,7 @@ def _scaled(cs: list[int], scale: Fraction) -> "Poly":
     if not cs:
         return ZERO
     g = math.gcd(*cs) if cs[-1] > 0 else -math.gcd(*cs)
-    return Poly(tuple(c // g for c in cs), scale * g)
+    return Poly(tuple([c // g for c in cs]), scale * g)
 
 
 def _monic(cs: Sequence[int]) -> "Poly":
@@ -67,7 +67,7 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(self.content * c for c in self.ints)
+        return tuple([self.content * c for c in self.ints])
 
     @property
     def degree(self) -> int:
@@ -199,17 +199,49 @@ def _primitive_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [x // content for x in r] if r and r[-1] > 0 else [-x // content for x in r]
 
 
+_IMAGE_PRIME = 1073741789  # the largest prime below 2^30
+
+
+def _constant_image(x: Sequence[int], y: Sequence[int]) -> bool:
+    """Whether gcd(x mod p, y mod p) over GF(p) is a nonzero constant."""
+    p = _IMAGE_PRIME
+    a, b = [c % p for c in x], [c % p for c in y]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv, n = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > n:
+            c, shift = a.pop() * inv % p, len(a) - n
+            for j in range(n):
+                a[shift + j] = (a[shift + j] - c * b[j]) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def _gcd_ints(x: Sequence[int], y: Sequence[int]) -> Sequence[int]:
     """Primitive gcd of nonzero primitive integer lists with positive
-    leading entries, by Brown's primitive pseudo-remainder sequence (J. ACM
-    1971), which keeps coefficients small."""
+    leading entries.
+
+    t is prime in Z[t], so the common power of t splits off first.  A
+    common factor g of the rest has lc(g) | lc(x), so when p does not
+    divide lc(x) g keeps its degree mod p, and a constant gcd mod p proves
+    g = 1 (Brown's lucky primes; von zur Gathen and Gerhard, Modern
+    Computer Algebra, 6.4).  Otherwise Brown's primitive pseudo-remainder
+    sequence (J. ACM 1971) finds the gcd with small coefficients.
+    """
+    a = next(i for i, c in enumerate(x) if c)
+    b = next(i for i, c in enumerate(y) if c)
+    x, y = x[a:], y[b:]
     if len(x) < len(y):
         x, y = y, x
-    while True:
-        r = _primitive_remainder(x, y)
-        if not r:
-            return y
-        x, y = y, r
+    if len(y) == 1 or x[-1] % _IMAGE_PRIME and _constant_image(x, y):
+        y = [1]
+    else:
+        while r := _primitive_remainder(x, y):
+            x, y = y, r
+    return [0] * min(a, b) + list(y)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

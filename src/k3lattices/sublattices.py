@@ -8,12 +8,10 @@ adjoining a single glue vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .intmat import (
-    NO_SOLUTION,
     IntMatrix,
     RationalVector,
     det_exact,
@@ -22,7 +20,6 @@ from .intmat import (
     mat_vec,
     saturate,
     smith_normal_form,
-    solve_integer,
 )
 from .lattices import Lattice, clear_denominators, discriminant_group
 
@@ -75,27 +72,23 @@ def is_primitive(s: Sublattice) -> tuple[bool, Sublattice]:
     return all(x == 1 for x in d), closure
 
 
-def sublattice_index(big: Sublattice, small: Sublattice):
-    """Group index [big : small], or math.inf when the ranks differ.
+def sublattice_index(big: Sublattice, small: Sublattice) -> int:
+    """Group index [big : small] of a subgroup small of big of equal rank.
 
-    small must be contained in big; anything else is rejected.
+    With left @ big.coords @ right == diag(d), small = big @ right @ z,
+    where row i of z is row i of left @ small.coords divided by d[i], so
+    the index is |det z|.  Anything else is rejected.
     """
     if big.ambient.gram != small.ambient.gram:
         raise ValueError("sublattices live in different ambient lattices")
-    relative = []
-    for j in range(small.rank):
-        sol = solve_integer(big.coords, small.generator(j))
-        if sol is NO_SOLUTION:
-            raise ValueError("small is not a subgroup of big")
-        relative.append(sol)
-    if small.rank < big.rank:
-        return math.inf
-    x = IntMatrix.from_rows(relative, cols=big.rank).transpose()
-    d, _, _ = smith_normal_form(x)
-    index = 1
-    for di in d:
-        index *= di
-    return index
+    if big.rank != small.rank:
+        raise ValueError("sublattices of different rank have no finite index")
+    d, left, _ = smith_normal_form(big.coords)
+    y = (left @ small.coords).entries
+    if any(x % di for row, di in zip(y, d) for x in row) or any(map(any, y[len(d):])):
+        raise ValueError("small is not a subgroup of big")
+    return abs(det_exact(IntMatrix.from_rows([[x // di for x in row] for row, di in zip(y, d)],
+                                             cols=small.rank)))
 
 
 def half_sum_search(s: Sublattice) -> list[tuple[int, ...]]:
@@ -120,7 +113,7 @@ def half_sum_search(s: Sublattice) -> list[tuple[int, ...]]:
         parity ^= masks[bit]
         gray = nxt
         if parity == 0:
-            found.append(tuple(j for j in range(k) if gray >> j & 1))
+            found.append(tuple([j for j in range(k) if gray >> j & 1]))
     return sorted(found)
 
 
@@ -185,7 +178,7 @@ def solve_glue(ambient: Lattice, delta: Sublattice,
     # and primitivity makes its H-coefficient a unit mod n
     coeffs = right.col(-1)
     m = pow(coeffs[-1], -1, n)
-    a = tuple(m * c % n for c in coeffs[:-1])
+    a = tuple([m * c % n for c in coeffs[:-1]])
 
     h_int = _glue_vector(H, delta, a, n)
     for i in range(1, delta.rank):
@@ -209,7 +202,7 @@ def _glue_vector(H: list[int], delta: Sublattice, weights: tuple[int, ...] | lis
     numerator = [x + y for x, y in zip(H, mat_vec(delta.coords, weights))]
     if any(x % n for x in numerator):
         raise AssertionError("glue vector is not integral")
-    return tuple(x // n for x in numerator)
+    return tuple([x // n for x in numerator])
 
 
 @dataclass(frozen=True)
@@ -241,10 +234,10 @@ def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
     if not m.is_even or m.det == 0:
         raise ValueError("overlattice search needs a nondegenerate even lattice")
     if index == 1:
-        ident = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(m.rank))
-            for i in range(m.rank))
-        return [Overlattice(tuple(Fraction(0) for _ in range(m.rank)),
+        ident = tuple([
+            tuple([Fraction(1 if i == j else 0) for j in range(m.rank)])
+            for i in range(m.rank)])
+        return [Overlattice(tuple([Fraction(0) for _ in range(m.rank)]),
                             ident, m.gram, 1)]
     group = discriminant_group(m)
     if group.order > 2048:
@@ -257,7 +250,7 @@ def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
         if group.order_of(coeffs) != index or group.q(coeffs) != 0:
             continue
         subgroup = frozenset(
-            tuple(k * c % dd for c, dd in zip(coeffs, factors))
+            tuple([k * c % dd for c, dd in zip(coeffs, factors)])
             for k in range(index))
         if subgroup in seen_subgroups:
             continue
@@ -275,7 +268,7 @@ def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
         over = Lattice(gram)
         if abs(m.det) != index * index * abs(over.det):
             raise AssertionError("determinant identity fails")
-        basis = tuple(tuple(Fraction(x, q) for x in row) for row in scaled.entries)
+        basis = tuple([tuple([Fraction(x, q) for x in row]) for row in scaled.entries])
         results.append(Overlattice(vec, basis, gram, index))
     return results
 

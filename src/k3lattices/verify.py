@@ -88,7 +88,7 @@ class VerificationReport:
 
 def _mirror(vector: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     # the Dynkin involution of the A15 summand; the rank-1 slot stays put
-    return tuple(vector[14 - i] for i in range(15)) + (vector[15],)
+    return tuple([vector[14 - i] for i in range(15)]) + (vector[15],)
 
 def _overlattice_contains(over: Overlattice, vector: tuple[Fraction, ...]) -> bool:
     scale = lcm(*(x.denominator for row in over.basis for x in row),
@@ -132,7 +132,7 @@ def run_verification(perturb: bool = False) -> VerificationReport:
          "even": k7.is_even})
 
     first = analyze_k3(weierstrass_model("i7e8"))
-    shape = tuple((r.place, r.kodaira, r.count) for r in first.fibers)
+    shape = tuple([(r.place, r.kodaira, r.count) for r in first.fibers])
     add("04-fibers-i7e8",
         "i7e8: I7 at t = 0, II* at infinity, 7 I1 on t^7 - 2, Euler 24, MW 0",
         shape == (("0", "I7", 1), ("t^7 - 2", "I1", 7), ("inf", "II*", 1))
@@ -140,7 +140,7 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         {"fibers": shape, "euler": first.euler_total, "mw_rank": first.mw_rank})
 
     second = analyze_k3(weierstrass_model("e7e6"))
-    shape = tuple((r.place, r.kodaira, r.count) for r in second.fibers)
+    shape = tuple([(r.place, r.kodaira, r.count) for r in second.fibers])
     add("05-fibers-e7e6",
         "e7e6: III* at t = 0, IV* at infinity, 7 I1 on 27*t^7 + 4, MW 1",
         shape == (("0", "III*", 1), ("27*t^7 + 4", "I1", 7), ("inf", "IV*", 1))

@@ -75,6 +75,36 @@ def definiteness_sign(rows):
     return 0
 
 
+def characteristic_polynomial(rows):
+    """Ascending coefficients of det(x*I - A) by the Faddeev-LeVerrier
+    recursion over Fractions: M_0 = 0, M_k = A*M_(k-1) + c_(n-k+1)*I and
+    c_(n-k) = -tr(A*M_k) / k."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    c = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][l] * m[l][j] for l in range(n)) + (c[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        c[n - k] = -sum(a[i][l] * m[l][i] for i in range(n) for l in range(n)) / k
+    return c
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def eigenvalue_signs(rows):
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+    Its characteristic polynomial has only real roots, so Descartes' rule
+    of signs counts the positive and (on p(-x)) the negative ones exactly;
+    the zero ones are the lowest vanishing coefficients."""
+    c = characteristic_polynomial(rows)
+    zero = next(k for k, x in enumerate(c) if x != 0)
+    return (_sign_changes(c), _sign_changes([x * (-1) ** k for k, x in enumerate(c)]), zero)
+
+
 def inverse_fractions(rows):
     """Inverse of a nonsingular integer matrix via adjugate / determinant."""
     n = len(rows)

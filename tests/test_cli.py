@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from k3lattices.cli import main
+from k3lattices.cli import _print_fiber_table, main
 from k3lattices.fibration import weierstrass_from_json, weierstrass_to_json
 from k3lattices.lattices import lattice_to_json, make_named
 
@@ -266,7 +266,7 @@ RATIONAL_CONTENT_MODELS = [
          "label": "", "mw_rank": "6", "notes": [], "ns_rank": "16"},
         _TABLE_HEAD
         + "  2744*t^14 - 41160*t^7 + 648*t^6 + 2268*t^4 + 2646*t^2 + 155379"
-        "I1    14     1      1      -\n"
+        " I1    14     1      1      -\n"
         "  inf           II*   1      10     9      E8\n"
         "  Euler total 24\n  NS rank     16\n  MW rank     6\n",
         id="fractional-a4-a6"),
@@ -389,3 +389,11 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "verify-all" in out
+
+
+def test_fiber_table_separates_long_places(capsys):
+    rows = [("x" * 13, "I1", 1, 1, 1, "-"), ("x" * 14, "I1", 1, 1, 1, "-")]
+    _print_fiber_table(rows)
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  xxxxxxxxxxxxx I1    1      1      1      -",
+        "  xxxxxxxxxxxxxx I1    1      1      1      -"]

@@ -4,12 +4,13 @@ Matrices stay at most 6x6 so that the cofactor oracle and the whole file
 run in a few seconds.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3lattices.intmat import IntMatrix, det_exact, hermite_normal_form, smith_normal_form
 from k3lattices.lattices import Lattice, signature
 
-from oracles import cofactor_det, gauss_det
+from oracles import cofactor_det, eigenvalue_signs, gauss_det
 
 entries = st.integers(-9, 9) | st.just(0)
 sizes = st.integers(1, 6)
@@ -34,6 +35,15 @@ def symmetric_matrices(draw):
     upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
     return IntMatrix.from_rows([[upper[min(i, j), max(i, j)] for j in range(n)]
                                 for i in range(n)])
+
+
+@st.composite
+def congruent_products(draw):
+    """b^T s b for a symmetric s of size k <= n: rank at most k."""
+    n = draw(sizes)
+    s = draw(symmetric_matrices())
+    b = IntMatrix.from_rows([[draw(entries) for _ in range(n)] for _ in range(s.rows)])
+    return b.transpose() @ s @ b
 
 
 def is_unimodular(u):
@@ -96,3 +106,25 @@ def test_signature_counts_and_sign(g):
     if lattice.det != 0:
         assert sig.zero == 0
         assert (-1) ** sig.negative == sign(lattice.det)
+
+
+@settings(deadline=None, max_examples=150)
+@given(g=symmetric_matrices() | congruent_products())
+def test_signature_matches_eigenvalue_signs(g):
+    sig = signature(Lattice(g))
+    assert (sig.positive, sig.negative, sig.zero) == eigenvalue_signs(g.to_lists())
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, -2]],
+    [[0, 1], [1, 2]],
+    [[0, 0, 1], [0, 0, 0], [1, 0, -2]],
+    [[0, 3, 1], [3, -6, 0], [1, 0, 0]],
+    [[1, 1, 0], [1, 1, 1], [0, 1, 0]],
+    [[0, 0], [0, 0]],
+], ids=["u-minus-2", "u-plus-2", "zero-row-between", "partner-cancels",
+        "pivot-zero-after-step", "zero"])
+def test_signature_through_zero_pivots(rows):
+    # the first sign of the partner congruence would leave a zero pivot
+    sig = signature(Lattice(IntMatrix.from_rows(rows)))
+    assert (sig.positive, sig.negative, sig.zero) == eigenvalue_signs(rows)

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3lattices.polynomials import Poly, extract_rational_roots, poly_gcd
+from k3lattices import polynomials
+from k3lattices.fibration import WeierstrassModel
+from k3lattices.polynomials import Poly, extract_rational_roots, poly_gcd, squarefree_parts
 
 from oracles import divisor_rational_roots, euclid_gcd
 
@@ -176,3 +178,77 @@ fraction_coeffs = st.lists(st.fractions(min_value=-20, max_value=20, max_denomin
 def test_gcd_matches_fraction_euclid_generated(f, g, h):
     a, b = Poly.of(f) * Poly.of(h), Poly.of(g) * Poly.of(h)
     assert list(poly_gcd(a, b).coeffs) == euclid_gcd(a.coeffs, b.coeffs)
+
+
+# --- the gcd's shortcuts: powers of t, and one image mod p ------------------------
+
+P = polynomials._IMAGE_PRIME
+
+
+@settings(deadline=None, max_examples=80)
+@given(a=st.integers(0, 4), b=st.integers(0, 4),
+       f=fraction_coeffs, g=fraction_coeffs, h=fraction_coeffs)
+def test_gcd_with_powers_of_t_matches_fraction_euclid(a, b, f, g, h):
+    x = T ** a * Poly.of(f) * Poly.of(h)
+    y = T ** b * Poly.of(g) * Poly.of(h)
+    assert list(poly_gcd(x, y).coeffs) == euclid_gcd(x.coeffs, y.coeffs)
+
+
+@pytest.mark.parametrize("a, b, gcd", [
+    # coprime over Z, equal mod p: the image is not constant
+    ([0, 1], [-P, 1], [1]),
+    ([1, 1], [1 - P, 1], [1]),
+    ([1, 1, 1], [1 - P, 1 - P, 1], [1]),
+    # p divides a leading entry, so the image proves nothing
+    ([1, P], [1, 1], [1]),
+    ([2, 2 * P + 1, P], [1, P], [Fraction(1, P), 1]),
+    ([3, 3 * P + 1, P], [1, 1], [1]),
+    # the shorter argument is constant mod p
+    ([1, 0, 1], [1, P], [1]),
+    ([0, 0, 1, 0, 1], [0, 1, P], [0, 1]),
+    # constant arguments
+    ([5], [1, 2, 1], [1]),
+    ([Fraction(-3, 7)], [P], [1]),
+    ([0, 0, 1], [7], [1]),
+    # shared powers of t
+    ([0, 0, 0, 1], [0, 0, 2, 6], [0, 0, 1]),
+    ([0, 0, 0, 1, 1], [0, 1, 2, 1], [0, 1, 1]),
+])
+def test_gcd_cases_the_image_must_not_decide_alone(a, b, gcd):
+    for x, y in ((a, b), (b, a)):
+        assert list(poly_gcd(Poly.of(x), Poly.of(y)).coeffs) == gcd
+        assert euclid_gcd(x, y) == gcd
+
+
+@pytest.fixture
+def remainder_calls(monkeypatch):
+    calls = []
+    remainder = polynomials._primitive_remainder
+
+    def counted(a, b):
+        calls.append((a, b))
+        return remainder(a, b)
+
+    monkeypatch.setattr(polynomials, "_primitive_remainder", counted)
+    return calls
+
+
+GENERIC = WeierstrassModel.from_a4(Poly.of([3, -1, 0, 2, 0, 0, 1, 0, -2]),
+                                   Poly.of([1, 0, 4, -3, 0, 0, 0, 2, 0, 0, -1, 0, 5]))
+ADDITIVE = WeierstrassModel.from_a4(T ** 2 * Poly.of([-1, 0, 3, 0, 1, 2]),
+                                    T ** 3 * Poly.of([2, 1, 0, 0, -1, 0, 0, 0, 3]))
+
+
+@pytest.mark.parametrize("model, parts", [(GENERIC, [(24, 1)]), (ADDITIVE, [(16, 1), (1, 6)])],
+                         ids=["squarefree", "t6-times-squarefree"])
+def test_discriminant_gcds_need_no_remainder_sequence(remainder_calls, model, parts):
+    delta = model.discriminant
+    g = poly_gcd(delta, delta.derivative())
+    _, pieces = squarefree_parts(delta)
+    assert g == T ** (parts[-1][1] - 1)
+    assert [(piece.degree, mult) for piece, mult in pieces] == parts
+    assert remainder_calls == []
+    # a common factor other than a power of t still runs the sequence
+    assert poly_gcd((T + Poly.constant(1)) * (T + Poly.constant(2)),
+                    (T + Poly.constant(1)) * (T + Poly.constant(3))) == T + Poly.constant(1)
+    assert remainder_calls
