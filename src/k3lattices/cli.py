@@ -28,7 +28,6 @@ from .fibration import (
 from .fixtures import WEIERSTRASS_NAMES, weierstrass_model
 from .lattices import (
     decode_json,
-    direct_sum,
     discriminant_group,
     lattice_from_json,
     make_named,
@@ -41,11 +40,7 @@ def _load_lattice(source: str):
     path = Path(source)
     if path.is_file():
         return lattice_from_json(path.read_text())
-    parts = [p.strip() for p in source.split("+")]
-    if not all(parts):
-        raise ValueError(f"unknown lattice {source!r}")
-    lattices = [make_named(p) for p in parts]
-    return lattices[0] if len(lattices) == 1 else direct_sum(*lattices)
+    return make_named(source)
 
 
 def _group_name(factors: tuple[int, ...]) -> str:
@@ -94,35 +89,47 @@ def _print_fiber_table(rows: list[tuple]) -> None:
         print(f"  {place:<13} {kodaira:<6}{count:<7}{euler:<7}{components:<7}{root}")
 
 
+def _fibration_data(rows: list[tuple], euler_total: int, ns_rank: int, mw_rank: int,
+                    consistent: bool) -> dict:
+    return {
+        "fibers": [
+            {
+                "place": place,
+                "type": kodaira,
+                "count": str(count),
+                "euler": str(euler),
+                "components": str(components),
+                "root": root,
+            }
+            for place, kodaira, count, euler, components, root in rows
+        ],
+        "euler_total": str(euler_total),
+        "ns_rank": str(ns_rank),
+        "mw_rank": str(mw_rank),
+        "consistent": consistent,
+    }
+
+
+def _print_fibration(title: str, rows: list[tuple], euler_total: int, ns_rank: int,
+                     mw_rank: int) -> None:
+    print(title)
+    _print_fiber_table(rows)
+    print(f"  Euler total {euler_total}")
+    print(f"  NS rank     {ns_rank}")
+    print(f"  MW rank     {mw_rank}")
+
+
 def _report_analysis(analysis: FibrationAnalysis, as_json: bool) -> int:
     rows = [_fiber_row(r.place, r.kodaira, r.count) for r in analysis.fibers]
     if as_json:
-        data = {
-            "label": analysis.label,
-            "fibers": [
-                {
-                    "place": place,
-                    "type": kodaira,
-                    "count": str(count),
-                    "euler": str(euler),
-                    "components": str(components),
-                    "root": root,
-                }
-                for place, kodaira, count, euler, components, root in rows
-            ],
-            "euler_total": str(analysis.euler_total),
-            "ns_rank": str(analysis.ns_rank),
-            "mw_rank": str(analysis.mw_rank),
-            "consistent": analysis.consistent,
-            "notes": list(analysis.notes),
-        }
+        data = _fibration_data(rows, analysis.euler_total, analysis.ns_rank,
+                               analysis.mw_rank, analysis.consistent)
+        data["label"] = analysis.label
+        data["notes"] = list(analysis.notes)
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        print(f"fibration {analysis.label}" if analysis.label else "fibration")
-        _print_fiber_table(rows)
-        print(f"  Euler total {analysis.euler_total}")
-        print(f"  NS rank     {analysis.ns_rank}")
-        print(f"  MW rank     {analysis.mw_rank}")
+        _print_fibration(f"fibration {analysis.label}" if analysis.label else "fibration",
+                         rows, analysis.euler_total, analysis.ns_rank, analysis.mw_rank)
         for note in analysis.notes:
             print(f"  note: {note}")
         if not analysis.euler_ok:
@@ -145,30 +152,10 @@ def _report_fibration_json(data: dict, as_json: bool) -> int:
         return 1
     model = FibrationModel(specs, mw_rank)
     if as_json:
-        out = {
-            "fibers": [
-                {
-                    "place": place,
-                    "type": kodaira,
-                    "count": str(count),
-                    "euler": str(euler),
-                    "components": str(components),
-                    "root": root,
-                }
-                for place, kodaira, count, euler, components, root in rows
-            ],
-            "euler_total": str(euler_total),
-            "ns_rank": str(model.ns_rank),
-            "mw_rank": str(model.mw_rank),
-            "consistent": True,
-        }
+        out = _fibration_data(rows, euler_total, model.ns_rank, model.mw_rank, True)
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
-        print("fibration")
-        _print_fiber_table(rows)
-        print(f"  Euler total {euler_total}")
-        print(f"  NS rank     {model.ns_rank}")
-        print(f"  MW rank     {model.mw_rank}")
+        _print_fibration("fibration", rows, euler_total, model.ns_rank, model.mw_rank)
     return 0
 
 

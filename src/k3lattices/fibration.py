@@ -91,10 +91,6 @@ class WeierstrassModel:
         return cls(Poly.constant(value), a6, label)
 
 
-def discriminant_poly(w: WeierstrassModel) -> Poly:
-    return w.discriminant
-
-
 def _third(v: int) -> int:
     if v % 3:
         raise ValueError("valuation of a4^3 is not divisible by 3")

@@ -29,7 +29,7 @@ from .fibration import (
     extract_chain,
 )
 from .fixedlocus import ChainWalk, walk_chain
-from .lattices import Lattice, direct_sum, make_named
+from .lattices import Lattice, make_named
 from .polynomials import Poly
 from .sublattices import (
     GlueSolution,
@@ -115,7 +115,7 @@ def reference_walk() -> ChainWalk:
 
 @cache
 def glue_target() -> Lattice:
-    return direct_sum(make_named("A15"), make_named("Z(112)"))
+    return make_named("A15 + Z(112)")
 
 
 @cache

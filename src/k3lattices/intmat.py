@@ -355,22 +355,6 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     )
 
 
-def saturate(basis: IntMatrix, ambient_rank: int) -> IntMatrix:
-    """Basis of the primitive closure Q-span(basis) intersect Z^ambient_rank.
-
-    The basis columns must be independent.  With left @ basis @ right ==
-    diag(d), column j of basis @ right is d[j] times column j of left^-1;
-    those columns of the unimodular left^-1 span the closure.
-    """
-    if basis.rows != ambient_rank:
-        raise ValueError("basis rows must equal the ambient rank")
-    d, _, right = smith_normal_form(basis)
-    if len(d) != basis.cols or 0 in d:
-        raise ValueError("dependent columns cannot be saturated")
-    return IntMatrix.from_rows([[x // dj for x, dj in zip(row, d)]
-                                for row in (basis @ right).entries], cols=basis.cols)
-
-
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular matrix: its Hermite form is 1, so u @ m == 1."""
     if m.rows != m.cols:

@@ -127,25 +127,23 @@ class DiscriminantGroup:
                       for xs in zip(*self.generators)])
 
 
-def _mod2(x: Fraction) -> Fraction:
-    return x - 2 * (x / 2).__floor__()
-
-
-def qvalue(l: Lattice, coords: Sequence[Fraction | int]) -> Fraction:
-    """Discriminant-form value v.v mod 2, reduced into [0, 2)."""
-    return _mod2(l.pairing(coords, coords))
-
-
 _NAME_RE = re.compile(r"^([ADEUZK])\(?(-?\d+)?\)?$")
 
 
 def make_named(name: str) -> Lattice:
-    """Build a lattice from its conventional name.
+    """Build a lattice from its conventional name, or the direct sum of
+    several joined by "+", as in "U + E8 + A6".
 
     Accepted: A(n) n>=1, D(n) n>=3, E(6|7|8), U, U(m) m!=0, K7,
     Z(k) k!=0.  Parentheses are optional: "A15" and "A(15)" agree.
     """
-    m = _NAME_RE.match(name.strip())
+    parts = [p.strip() for p in name.split("+")]
+    if not all(parts):
+        raise ValueError(f"unknown lattice {name!r}")
+    if len(parts) > 1:
+        return direct_sum(*[make_named(p) for p in parts])
+    name = parts[0]
+    m = _NAME_RE.match(name)
     if not m:
         raise ValueError(f"unrecognized lattice name {name!r}")
     family, arg = m.group(1), m.group(2)
@@ -266,43 +264,6 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
     if group.order != abs(l.det):
         raise AssertionError("group order disagrees with the determinant")
     return group
-
-
-def glue_compatible(s: Lattice, t: Lattice) -> bool:
-    """True iff the discriminant forms match up to a global sign flip.
-
-    Searches every group isomorphism and tests q_t(phi(x)) = -q_s(x) on
-    all elements; intended for the small groups arising here.
-    """
-    for l in (s, t):
-        if l.det == 0 or not l.is_even:
-            raise ValueError("glue comparison needs nondegenerate even lattices")
-    gs, gt = discriminant_group(s), discriminant_group(t)
-    if gs.invariant_factors != gt.invariant_factors:
-        return False
-    if gs.order > 4096:
-        raise ValueError("discriminant group too large for exhaustive search")
-    factors = gs.invariant_factors
-    elements = list(gt.elements())
-    candidates = [[e for e in elements if gt.order_of(e) == d] for d in factors]
-    for images in product(*candidates):
-        seen = set()
-        ok = True
-        for coeffs in gs.elements():
-            img = tuple([
-                sum(coeffs[i] * images[i][j] for i in range(len(factors))) % factors[j]
-                for j in range(len(factors))
-            ])
-            if img in seen:
-                ok = False
-                break
-            seen.add(img)
-            if _mod2(gt.q(img) + gs.q(coeffs)) != 0:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 def lattice_to_json(l: Lattice) -> str:

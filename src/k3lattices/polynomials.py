@@ -397,12 +397,16 @@ def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
 
 def format_poly(f: Poly, var: str = "t") -> str:
     """Human formatting, descending powers: "t^7 - 2", "27*t^7 + 4"."""
+    n, d = f.content.numerator, f.content.denominator
     terms = []
-    for k, c in reversed(list(enumerate(f.coeffs))):
+    for k in range(f.degree, -1, -1):
+        c = n * f.ints[k]
         if c == 0:
             continue
+        g = math.gcd(c, d)
+        size = str(abs(c) // g) if d == g else f"{abs(c) // g}/{d // g}"
         power = var if k == 1 else f"{var}^{k}"
-        body = str(abs(c)) if k == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+        body = size if k == 0 else power if abs(c) == d else f"{size}*{power}"
         terms.append(f"{'-' if c < 0 else '+'} {body}")
     text = " ".join(terms) or "+ 0"
     return text[2:] if text[0] == "+" else f"-{text[2:]}"

@@ -1,7 +1,7 @@
 """Sublattices of a fixed ambient lattice and finite-index glue.
 
-Covers orthogonal complements, primitivity with closure witnesses,
-index computations, the exhaustive half-sum subset search, the rank-15
+Covers orthogonal complements, primitivity by one Smith form, index
+computations, the exhaustive half-sum subset search, the rank-15
 chain glue solver, and enumeration of even overlattices obtained by
 adjoining a single glue vector.
 """
@@ -18,7 +18,6 @@ from .intmat import (
     hermite_normal_form,
     integer_kernel,
     mat_vec,
-    saturate,
     smith_normal_form,
 )
 from .lattices import Lattice, clear_denominators, discriminant_group
@@ -63,13 +62,11 @@ def orthogonal_complement(s: Sublattice) -> Sublattice:
     return Sublattice(s.ambient, kernel, f"({s.label})^perp" if s.label else "")
 
 
-def is_primitive(s: Sublattice) -> tuple[bool, Sublattice]:
-    """Whether s is saturated in its ambient; the closure comes along as witness."""
-    closure = Sublattice(s.ambient, saturate(s.coords, s.ambient.rank),
-                         f"closure({s.label})" if s.label else "")
+def is_primitive(s: Sublattice) -> bool:
+    """Whether s is saturated in its ambient lattice."""
     # the columns are independent, so s is saturated iff every invariant factor is 1
     d, _, _ = smith_normal_form(s.coords)
-    return all(x == 1 for x in d), closure
+    return all(x == 1 for x in d)
 
 
 def sublattice_index(big: Sublattice, small: Sublattice) -> int:
@@ -149,8 +146,7 @@ def solve_glue(ambient: Lattice, delta: Sublattice,
         raise ValueError("delta does not live in the given ambient lattice")
     if delta.rank != ambient.rank - 1:
         raise ValueError("delta must have corank 1")
-    primitive, _closure = is_primitive(delta)
-    if not primitive:
+    if not is_primitive(delta):
         raise ValueError("delta must be primitive in the ambient lattice")
 
     comp = orthogonal_complement(delta)
@@ -209,12 +205,14 @@ def _glue_vector(H: list[int], delta: Sublattice, weights: tuple[int, ...] | lis
 class Overlattice:
     """A finite-index even overlattice, with the adjoined glue vector.
 
-    basis rows are the overlattice basis in the coordinates of the base
-    lattice; gram is its (integer, even) Gram matrix.
+    The rows of scaled are scale times the overlattice basis, in the
+    coordinates of the base lattice; gram is its (integer, even) Gram
+    matrix.
     """
 
     glue: RationalVector
-    basis: tuple[RationalVector, ...]
+    scaled: IntMatrix
+    scale: int
     gram: IntMatrix
     index: int
 
@@ -234,11 +232,7 @@ def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
     if not m.is_even or m.det == 0:
         raise ValueError("overlattice search needs a nondegenerate even lattice")
     if index == 1:
-        ident = tuple([
-            tuple([Fraction(1 if i == j else 0) for j in range(m.rank)])
-            for i in range(m.rank)])
-        return [Overlattice(tuple([Fraction(0) for _ in range(m.rank)]),
-                            ident, m.gram, 1)]
+        return [Overlattice((Fraction(0),) * m.rank, IntMatrix.identity(m.rank), 1, m.gram, 1)]
     group = discriminant_group(m)
     if group.order > 2048:
         raise ValueError("discriminant group too large for exhaustive search")
@@ -268,8 +262,7 @@ def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
         over = Lattice(gram)
         if abs(m.det) != index * index * abs(over.det):
             raise AssertionError("determinant identity fails")
-        basis = tuple([tuple([Fraction(x, q) for x in row]) for row in scaled.entries])
-        results.append(Overlattice(vec, basis, gram, index))
+        results.append(Overlattice(vec, scaled, q, gram, index))
     return results
 
 

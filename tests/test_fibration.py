@@ -16,7 +16,6 @@ from k3lattices.fibration import (
     build_neron_severi,
     check_affine,
     classify_place,
-    discriminant_poly,
     extract_chain,
     fiber_graph,
     fibration_from_json,
@@ -44,7 +43,7 @@ ONE = Poly.constant(1)
 
 def test_discriminant_first_model():
     w = weierstrass_model("i7e8")
-    delta = discriminant_poly(w)
+    delta = w.discriminant
     assert {k: int(c) for k, c in enumerate(delta.coeffs) if c} == {7: 864, 14: -432}
     # independent check: at t = 2, -432*t^7*(t^7 - 2) = -432 * 128 * 126
     assert delta.evaluate(2) == -432 * 128 * 126
@@ -52,7 +51,7 @@ def test_discriminant_first_model():
 
 
 def test_discriminant_second_model():
-    delta = discriminant_poly(weierstrass_model("e7e6"))
+    delta = weierstrass_model("e7e6").discriminant
     assert {k: int(c) for k, c in enumerate(delta.coeffs) if c} == {9: -64, 16: -432}
     # -16 * (4*t^9 + 27*t^16) at t = 1
     assert delta.evaluate(1) == -16 * 31
@@ -60,9 +59,9 @@ def test_discriminant_second_model():
 
 def test_discriminant_constant_model():
     w = WeierstrassModel.from_a4(ONE, Poly.constant(0))
-    assert discriminant_poly(w) == Poly.constant(-64)
+    assert w.discriminant == Poly.constant(-64)
     w = WeierstrassModel.from_a4(Poly.constant(0), ONE)
-    assert discriminant_poly(w) == Poly.constant(-432)
+    assert w.discriminant == Poly.constant(-432)
 
 
 def test_model_validation():
@@ -230,7 +229,7 @@ def test_classify_place_matches_analysis_at_rational_places():
 
 def test_discriminant_is_built_once_per_model():
     w = weierstrass_model("i7e8")
-    assert discriminant_poly(w) is discriminant_poly(w) is w.discriminant
+    assert w.discriminant is w.discriminant
 
 
 # --- fiber graphs ---------------------------------------------------------

@@ -12,7 +12,6 @@ from k3lattices.intmat import (
     hermite_normal_form,
     integer_kernel,
     mat_vec,
-    saturate,
     smith_normal_form,
     solve_integer,
     solve_rational,
@@ -237,59 +236,6 @@ def test_kernel_random_properties():
         if k.cols:
             dk, _, _ = smith_normal_form(k)
             assert all(x == 1 for x in dk)
-
-
-def test_saturate_halves_doubled_basis():
-    doubled = IntMatrix.from_rows([[2, 0], [0, 2]])
-    assert abs(det_exact(saturate(doubled, 2))) == 1
-
-
-def test_saturate_is_idempotent():
-    rng = random.Random(17)
-    for _ in range(60):
-        n = rng.randint(2, 5)
-        k = rng.randint(1, n)
-        basis = random_matrix(rng, n, k)
-        d, _, _ = smith_normal_form(basis)
-        if sum(1 for x in d if x != 0) < k:
-            continue
-        sat = saturate(basis, n)
-        again = saturate(sat, n)
-        # same saturated span: each basis solves in the other over Q
-        for c in range(k):
-            col = [Fraction(sat[i, c]) for i in range(n)]
-            assert solve_rational(again, col) is not NO_SOLUTION
-            col = [Fraction(again[i, c]) for i in range(n)]
-            assert solve_rational(sat, col) is not NO_SOLUTION
-
-
-def test_saturate_closure_contains_basis_with_index_of_invariants():
-    rng = random.Random(29)
-    checked = 0
-    for _ in range(80):
-        n = rng.randint(1, 6)
-        k = rng.randint(1, n)
-        basis = random_matrix(rng, n, k, -6, 6)
-        d, _, _ = smith_normal_form(basis)
-        if 0 in d:
-            continue
-        closure = saturate(basis, n)
-        assert closure.rows == n and closure.cols == k
-        dc, _, _ = smith_normal_form(closure)
-        assert all(x == 1 for x in dc)
-        coords = [solve_integer(closure, basis.col(j)) for j in range(k)]
-        assert NO_SOLUTION not in coords
-        index = 1
-        for x in d:
-            index *= x
-        assert abs(det_exact(IntMatrix.from_rows(coords).transpose())) == index
-        checked += 1
-    assert checked > 40
-
-
-def test_saturate_rejects_dependent_columns():
-    with pytest.raises(ValueError):
-        saturate(IntMatrix.from_rows([[1, 2], [2, 4]]), 2)
 
 
 def test_unimodular_inverse():

@@ -12,19 +12,13 @@ from k3lattices.lattices import (
     Signature,
     direct_sum,
     discriminant_group,
-    glue_compatible,
     lattice_from_json,
     lattice_to_json,
     make_named,
-    qvalue,
     signature,
 )
 
 from oracles import cofactor_det, definiteness_sign, gauss_det
-
-
-def _mod2(x):
-    return x - 2 * (x / 2).__floor__()
 
 
 def test_named_gram_matrices():
@@ -135,11 +129,11 @@ def test_discriminant_group_chain15():
     assert group.order == abs(l.det) == 16
     # dual vector of an end node of the chain, computed by hand
     end_dual = [Fraction(-(16 - i), 16) for i in range(1, 16)]
-    assert qvalue(l, end_dual) == Fraction(17, 16)
+    assert l.pairing(end_dual, end_dual) % 2 == Fraction(17, 16)
     # generator choice is only defined up to a unit, so compare q orbits
     units = [k for k in range(1, 16) if k % 2 == 1]
-    got = {_mod2(k * k * group.qvalues[0]) for k in units}
-    want = {_mod2(k * k * Fraction(17, 16)) for k in units}
+    got = {k * k * group.qvalues[0] % 2 for k in units}
+    want = {k * k * Fraction(17, 16) % 2 for k in units}
     assert got == want
 
 
@@ -149,8 +143,8 @@ def test_discriminant_group_k7():
     assert group.invariant_factors == (7,)
     # first dual basis vector: K7^(-1) column = (-2,-1)/7
     v = [Fraction(-2, 7), Fraction(-1, 7)]
-    assert qvalue(l, v) == Fraction(12, 7)
-    got = {_mod2(k * k * group.qvalues[0]) for k in range(1, 7)}
+    assert l.pairing(v, v) % 2 == Fraction(12, 7)
+    got = {k * k * group.qvalues[0] % 2 for k in range(1, 7)}
     assert got == {Fraction(12, 7), Fraction(10, 7), Fraction(6, 7)}
 
 
@@ -171,20 +165,10 @@ def test_qvalue_stable_under_lattice_shifts():
     for name in ("A15", "K7"):
         l = make_named(name)
         gen = discriminant_group(l).generators[0]
-        base = qvalue(l, gen)
+        base = l.pairing(gen, gen) % 2
         for _ in range(20):
             shifted = [g + rng.randint(-3, 3) for g in gen]
-            assert qvalue(l, shifted) == base
-
-
-def test_glue_compatible_pairs():
-    s = direct_sum(make_named("U"), make_named("E8"), make_named("A6"))
-    t = direct_sum(make_named("U"), make_named("U"), make_named("K7"))
-    assert glue_compatible(s, t)
-    assert glue_compatible(make_named("E8"), make_named("E8"))
-    assert not glue_compatible(make_named("A15"), make_named("K7"))
-    # both q values 3/2, and -3/2 is 1/2 mod 2, so no sign-flipping map
-    assert not glue_compatible(make_named("A1"), make_named("A1"))
+            assert l.pairing(shifted, shifted) % 2 == base
 
 
 def test_lattice_json_roundtrip():

@@ -179,4 +179,9 @@ def test_format_poly():
     assert format_poly(Poly.constant(-5)) == "-5"
     assert format_poly(t_power(14, -432) + t_power(7, 864)) == "-432*t^14 + 864*t^7"
     assert format_poly(ONE - T) == "-t + 1"
+    assert format_poly(Poly.of([Fraction(-5, 3), 0, Fraction(2, 9)])) == "2/9*t^2 - 5/3"
+    assert format_poly(Poly.of([0, Fraction(-1, 2)])) == "-1/2*t"
+    assert format_poly(Poly.of([Fraction(3, 7)])) == "3/7"
+    assert format_poly(Poly.of([Fraction(1, 6), Fraction(-1, 4), Fraction(2, 3)])) \
+        == "2/3*t^2 - 1/4*t + 1/6"
     assert str(T**2) == "t^2"

@@ -1,6 +1,5 @@
 """Tests for sublattice machinery: complements, indices, glue, overlattices."""
 
-import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -28,7 +27,7 @@ from k3lattices.sublattices import (
     sublattice_index,
 )
 
-from oracles import half_integral_subsets
+from oracles import half_integral_subsets, minor_gcd
 
 
 def columns(vectors):
@@ -61,16 +60,15 @@ def test_complement_of_summand():
 
 def test_is_primitive():
     line = Lattice(IntMatrix.from_rows([[2]]))
-    prim, closure = is_primitive(Sublattice(line, IntMatrix.from_rows([[2]])))
-    assert not prim
-    assert closure.coords.to_lists() == [[1]] or closure.coords.to_lists() == [[-1]]
+    assert is_primitive(Sublattice(line, IntMatrix.from_rows([[2]]))) is False
 
     u = make_named("U")
-    prim, _ = is_primitive(Sublattice(u, columns([(1, 1)])))
-    assert prim
+    assert is_primitive(Sublattice(u, columns([(1, 1)]))) is True
 
 
 def test_is_primitive_agrees_with_index_of_closure():
+    # independent columns span a primitive sublattice iff their k x k minors
+    # have gcd 1, i.e. the closure has index 1 over them
     rng = random.Random(31)
     amb = direct_sum(make_named("U"), make_named("A3"))
     seen = set()
@@ -82,8 +80,8 @@ def test_is_primitive_agrees_with_index_of_closure():
             s = Sublattice(amb, coords)
         except ValueError:
             continue
-        prim, closure = is_primitive(s)
-        assert prim == (sublattice_index(closure, s) == 1)
+        prim = is_primitive(s)
+        assert prim == (minor_gcd(coords.to_lists(), k) == 1)
         seen.add(prim)
     assert seen == {True, False}
 
@@ -229,6 +227,7 @@ def test_overlattices_of_index_one():
     assert len(results) == 1
     assert results[0].gram == u.gram
     assert results[0].index == 1
+    assert results[0].scaled == IntMatrix.identity(2) and results[0].scale == 1
 
 
 def test_no_even_overlattice_of_two_a1():
@@ -244,13 +243,8 @@ def test_overlattice_guards():
 
 
 def in_overlattice(over, vec):
-    basis = over.basis
-    n = len(basis)
-    q = math.lcm(*(x.denominator for row in basis for x in row))
-    mat = IntMatrix.from_rows(
-        [[int(basis[j][i] * q) for j in range(n)] for i in range(n)])
-    target = [Fraction(v) * q for v in vec]
-    sol = solve_rational(mat, target)
+    target = [Fraction(v) * over.scale for v in vec]
+    sol = solve_rational(over.scaled.transpose(), target)
     return sol is not NO_SOLUTION and all(x.denominator == 1 for x in sol)
 
 

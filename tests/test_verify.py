@@ -1,5 +1,8 @@
 """Tests for the verification report machinery."""
 
+import json
+from pathlib import Path
+
 from k3lattices import __version__
 from k3lattices.verify import run_verification
 
@@ -37,3 +40,11 @@ def test_to_dict_statuses_and_render():
     text = report.render_text()
     assert "12 checks: all checks passed" in text
     assert text.count("PASS") == 12
+
+
+def test_values_match_the_stored_reference():
+    # the stored reference pins each check's id, status and values, string for string
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "verify_reference.json"
+    checks = run_verification().to_dict()["checks"]
+    got = [[c["id"], c["status"], c["values"]] for c in checks]
+    assert got == json.loads(reference.read_text())
