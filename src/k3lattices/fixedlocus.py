@@ -123,9 +123,7 @@ class ChainWalk:
         return tuple([p.curves for p in self.points if p.kind == kind])
 
 
-def walk_chain(edges: Iterable[tuple[str, str]],
-               fixed: Iterable[str],
-               curves: Iterable[str] = ()) -> ChainWalk:
+def walk_chain(edges: Iterable[tuple[str, str]], fixed: Iterable[str]) -> ChainWalk:
     """Propagate local exponents over a configuration of stable curves.
 
     edges are unordered pairs of intersecting curves; fixed lists the
@@ -135,7 +133,7 @@ def walk_chain(edges: Iterable[tuple[str, str]],
     """
     edge_list = sorted({tuple(sorted(e)) for e in edges})
     fixed_set = frozenset(fixed)
-    names = set(fixed_set) | set(curves)
+    names = set(fixed_set)
     for a, b in edge_list:
         if a == b:
             raise ValueError(f"curve {a} cannot intersect itself here")
@@ -229,18 +227,18 @@ def count_check(walk: ChainWalk, profile: FixedLocusProfile) -> bool:
     return walk.consistent and walk.counts() == expected
 
 
-def linear_chain_edges(n: int, prefix: str = "C") -> tuple[tuple[str, str], ...]:
-    return tuple([(f"{prefix}{i}", f"{prefix}{i + 1}") for i in range(1, n)])
+def linear_chain_edges(n: int) -> tuple[tuple[str, str], ...]:
+    return tuple([(f"C{i}", f"C{i + 1}") for i in range(1, n)])
 
 
-def fixed_pair_search(n: int, prefix: str = "C") -> list[tuple[int, int]]:
+def fixed_pair_search(n: int) -> list[tuple[int, int]]:
     """All placements of two pointwise fixed curves on a linear n-chain
     whose walk closes without conflicts."""
-    edges = linear_chain_edges(n, prefix)
+    edges = linear_chain_edges(n)
     valid = []
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
-            walk = walk_chain(edges, (f"{prefix}{p}", f"{prefix}{q}"))
+            walk = walk_chain(edges, (f"C{p}", f"C{q}"))
             if walk.consistent:
                 valid.append((p, q))
     return valid

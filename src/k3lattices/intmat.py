@@ -98,12 +98,6 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols,
                          tuple([tuple([-x for x in row]) for row in self.entries]))
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple([a + b for a, b in zip(self.entries, other.entries)]))
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 

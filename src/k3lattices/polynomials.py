@@ -395,7 +395,7 @@ def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
     return sorted(roots), _scaled(rest, f.content * denominators)
 
 
-def format_poly(f: Poly, var: str = "t") -> str:
+def format_poly(f: Poly) -> str:
     """Human formatting, descending powers: "t^7 - 2", "27*t^7 + 4"."""
     n, d = f.content.numerator, f.content.denominator
     terms = []
@@ -405,7 +405,7 @@ def format_poly(f: Poly, var: str = "t") -> str:
             continue
         g = math.gcd(c, d)
         size = str(abs(c) // g) if d == g else f"{abs(c) // g}/{d // g}"
-        power = var if k == 1 else f"{var}^{k}"
+        power = "t" if k == 1 else f"t^{k}"
         body = size if k == 0 else power if abs(c) == d else f"{size}*{power}"
         terms.append(f"{'-' if c < 0 else '+'} {body}")
     text = " ".join(terms) or "+ 0"

@@ -1,15 +1,17 @@
 """Sublattices of a fixed ambient lattice and finite-index glue.
 
-Covers orthogonal complements, primitivity by one Smith form, index
-computations, the exhaustive half-sum subset search, the rank-15
-chain glue solver, and enumeration of even overlattices obtained by
-adjoining a single glue vector.
+Each Sublattice keeps the one Smith form of its generator matrix;
+primitivity, indices, the half-integral generator sums and the glue of
+a primitive corank-1 sublattice are all read off it.  Also covers
+orthogonal complements and the enumeration of even overlattices
+obtained by adjoining a single glue vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .intmat import (
     IntMatrix,
@@ -34,9 +36,13 @@ class Sublattice:
     def __post_init__(self) -> None:
         if self.coords.rows != self.ambient.rank:
             raise ValueError("coordinate rows must match the ambient rank")
-        d, _, _ = smith_normal_form(self.coords)
-        if sum(1 for x in d if x != 0) != self.coords.cols:
+        if sum(1 for x in self.smith[0] if x != 0) != self.coords.cols:
             raise ValueError("generator columns must be independent")
+
+    @cached_property
+    def smith(self) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+        """(d, left, right) with left @ coords @ right == diag(d)."""
+        return smith_normal_form(self.coords)
 
     @property
     def rank(self) -> int:
@@ -65,8 +71,7 @@ def orthogonal_complement(s: Sublattice) -> Sublattice:
 def is_primitive(s: Sublattice) -> bool:
     """Whether s is saturated in its ambient lattice."""
     # the columns are independent, so s is saturated iff every invariant factor is 1
-    d, _, _ = smith_normal_form(s.coords)
-    return all(x == 1 for x in d)
+    return all(x == 1 for x in s.smith[0])
 
 
 def sublattice_index(big: Sublattice, small: Sublattice) -> int:
@@ -80,7 +85,7 @@ def sublattice_index(big: Sublattice, small: Sublattice) -> int:
         raise ValueError("sublattices live in different ambient lattices")
     if big.rank != small.rank:
         raise ValueError("sublattices of different rank have no finite index")
-    d, left, _ = smith_normal_form(big.coords)
+    d, left, _ = big.smith
     y = (left @ small.coords).entries
     if any(x % di for row, di in zip(y, d) for x in row) or any(map(any, y[len(d):])):
         raise ValueError("small is not a subgroup of big")
@@ -91,27 +96,22 @@ def sublattice_index(big: Sublattice, small: Sublattice) -> int:
 def half_sum_search(s: Sublattice) -> list[tuple[int, ...]]:
     """All nonempty subsets J of generators whose half-sum is integral.
 
-    Exhaustive over 2^k subsets via a Gray-code walk on per-column parity
-    bitmasks, so k is capped at 24.
+    With left @ coords @ right == diag(d), coords @ x is even iff
+    (right^-1 @ x)[i] is even for every odd d[i], so the subsets are the
+    supports of the nonzero mod-2 sums of the columns j of right with
+    d[j] even.  Those columns are independent mod 2, so there are
+    2^e - 1 distinct subsets for e even invariant factors; e is capped
+    at 24.
     """
-    k = s.rank
-    if k > 24:
-        raise ValueError("half-sum search is exhaustive; 24 generators max")
-    masks = []
-    for j in range(k):
-        col = s.generator(j)
-        masks.append(sum(1 << i for i, x in enumerate(col) if x % 2))
-    found = []
-    gray = 0
-    parity = 0
-    for i in range(1, 1 << k):
-        nxt = i ^ (i >> 1)
-        bit = (gray ^ nxt).bit_length() - 1
-        parity ^= masks[bit]
-        gray = nxt
-        if parity == 0:
-            found.append(tuple([j for j in range(k) if gray >> j & 1]))
-    return sorted(found)
+    d, _, right = s.smith
+    basis = [sum(1 << i for i, x in enumerate(right.col(j)) if x % 2)
+             for j, dj in enumerate(d) if dj % 2 == 0]
+    if len(basis) > 24:
+        raise ValueError("half-sum subsets number 2^e - 1; 24 even invariant factors max")
+    sums = [0]
+    for b in basis:
+        sums += [x ^ b for x in sums]
+    return sorted(tuple([i for i in range(s.rank) if x >> i & 1]) for x in sums[1:])
 
 
 @dataclass(frozen=True)
@@ -162,31 +162,25 @@ def solve_glue(ambient: Lattice, delta: Sublattice,
     if sign < 0:
         H = [-x for x in H]
 
-    x = delta.coords.hstack(IntMatrix.from_rows([[v] for v in H]))
-    n = abs(det_exact(x))
+    # left @ C @ right == diag(1, ..., 1) over a zero last row, so the last
+    # row l of left kills exactly delta and maps ambient/delta onto Z;
+    # n*h = H + C @ a is integral iff right^-1 @ a == -(left @ H)[:k] mod n
+    _, left, right = delta.smith
+    k = delta.rank
+    y = mat_vec(left, H)
+    n = abs(y[k])
     if n == 0:
         raise ValueError("delta + ZH does not have full rank")
-    d, _left, right = smith_normal_form(x)
-    if any(di != 1 for di in d[:-1]) or d[-1] != n:
-        raise ValueError("quotient by delta + ZH is not cyclic")
-
-    # left @ x @ right == diag(1, ..., 1, n): the quotient generator is x @ right.col(-1) / n,
-    # and primitivity makes its H-coefficient a unit mod n
-    coeffs = right.col(-1)
-    m = pow(coeffs[-1], -1, n)
-    a = tuple([m * c % n for c in coeffs[:-1]])
+    a = tuple([-x % n for x in mat_vec(right, y[:k])])
 
     h_int = _glue_vector(H, delta, a, n)
-    for i in range(1, delta.rank):
+    for i in range(1, k):
         if a[i] != (i + 1) * a[0] % n:
             raise AssertionError("residues do not follow the chain rule")
-    h_plus = _glue_vector(H, delta, [a[0] * (j + 1) for j in range(delta.rank)], n)
+    h_plus = _glue_vector(H, delta, [a[0] * (j + 1) for j in range(k)], n)
 
     # delta together with h must already generate the whole ambient lattice
-    spanning = delta.coords.hstack(
-        IntMatrix.from_rows([[v] for v in h_int]))
-    ds, _, _ = smith_normal_form(spanning)
-    if any(di != 1 for di in ds):
+    if abs(mat_vec(left, h_int)[k]) != 1:
         raise AssertionError("delta + Zh does not span the ambient lattice")
 
     return GlueSolution(n, tuple(H), h_int, a, h_plus)

@@ -6,7 +6,6 @@ oracles.py wherever one exists.
 """
 
 from contextlib import contextmanager
-from fractions import Fraction
 
 from k3lattices.cli import main
 from k3lattices.fibration import analyze_k3

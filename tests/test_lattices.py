@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lattices.intmat import IntMatrix, det_exact
+from k3lattices.intmat import IntMatrix
 from k3lattices.lattices import (
     EMPTY,
     Lattice,

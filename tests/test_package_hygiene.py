@@ -1,6 +1,7 @@
 """The package holds no floating-point numbers and imports nothing outside
 the standard library, as the README promises, and builds no tuple from a
-generator; checked on the syntax tree of every module."""
+generator; checked on the syntax tree of every module.  No module of the
+package or of the tests imports a name it never uses."""
 
 import ast
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "k3lattices"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "k3lattices"
 MODULES = sorted(PACKAGE.glob("*.py"))
 FLOAT_NAMES = {("math", "inf"), ("math", "nan")}
 
@@ -65,3 +67,29 @@ def test_no_tuple_of_a_generator(path):
                 and node.func.id == "tuple" and node.args:
             assert not isinstance(node.args[0], ast.GeneratorExp), \
                 f"{path.name}:{node.lineno}"
+
+
+def _exported(module):
+    """The strings listed in a module-level __all__."""
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    module = tree(path)
+    imported = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    unused = sorted(set(imported) - used - _exported(module))
+    assert not unused, [f"{path.name}:{imported[name]} {name}" for name in unused]

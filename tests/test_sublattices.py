@@ -1,15 +1,16 @@
 """Tests for sublattice machinery: complements, indices, glue, overlattices."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k3lattices.intmat import (
     NO_SOLUTION,
     IntMatrix,
-    det_exact,
     hermite_normal_form,
     solve_rational,
 )
@@ -27,7 +28,7 @@ from k3lattices.sublattices import (
     sublattice_index,
 )
 
-from oracles import half_integral_subsets, minor_gcd
+from oracles import gauss_det, half_integral_subsets, minor_gcd
 
 
 def columns(vectors):
@@ -167,11 +168,33 @@ def test_half_sum_matches_code_supports():
     assert sorted(naive) == found
 
 
+@st.composite
+def doubled_sublattices(draw):
+    """Independent columns in Z^r, r <= 6, some of them doubled, so that
+    even invariant factors occur."""
+    r = draw(st.integers(1, 6))
+    k = draw(st.integers(1, r))
+    cols = [[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, k - 1))):
+        cols[j] = [2 * x for x in cols[j]]
+    coords = columns(cols)
+    assume(minor_gcd(coords.to_lists(), k) != 0)
+    return Sublattice(Lattice(IntMatrix.identity(r)), coords)
+
+
+@settings(deadline=None, max_examples=150)
+@given(s=doubled_sublattices())
+def test_half_sum_search_matches_subset_enumeration(s):
+    naive = half_integral_subsets([s.generator(j) for j in range(s.rank)])
+    assert half_sum_search(s) == sorted(naive)
+
+
 def test_half_sum_generator_cap():
-    grid = Lattice(IntMatrix.from_rows(
-        [[2 if i == j else 0 for j in range(25)] for i in range(25)]))
+    # 2*I_25 has 25 even invariant factors, so 2^25 - 1 half-integral sums
+    doubled = [[2 if i == j else 0 for j in range(25)] for i in range(25)]
+    grid = Lattice(IntMatrix.from_rows(doubled))
     with pytest.raises(ValueError):
-        half_sum_search(full_sublattice(grid))
+        half_sum_search(Sublattice(grid, IntMatrix.from_rows(doubled)))
 
 
 def test_solve_glue_toy_case():
@@ -198,6 +221,50 @@ def test_chain_glue_values_are_pinned():
         h=(2, 4, -1, -1, -1, -1, -1, -2, -2, -4, -5, -7, -9, -6, -3, -5),
         a=a,
         h_plus=(7, 14, -1, -2, -3, -4, -5, -6, -7, -14, -21, -28, -35, -19, -3, -23))
+
+
+@st.composite
+def a_k_chains(draw):
+    """An A_k chain, k <= 6, in an ambient spanned by the chain and one
+    vector with pairings in [-3, 3] and an even square, written in a
+    random basis; the chain coordinates follow through the inverse."""
+    k = draw(st.integers(1, 6))
+    n = k + 1
+    v = [draw(st.integers(-3, 3)) for _ in range(k)]
+    gram = [list(row) + [x] for row, x in zip(make_named(f"A{k}").gram.entries, v)]
+    gram.append(v + [2 * draw(st.integers(-3, 3))])
+    assume(gauss_det(gram) != 0)
+    u = IntMatrix.identity(n).to_lists()
+    inverse = IntMatrix.identity(n).to_lists()
+    steps = st.tuples(st.integers(0, k), st.integers(0, k), st.sampled_from([-2, -1, 1, 2]))
+    for i, j, c in draw(st.lists(steps, max_size=3 * n)):
+        if i == j:
+            continue
+        # u <- u @ E with E adding c * column i to column j; inverse <- E^-1 @ inverse
+        for row in u:
+            row[j] += c * row[i]
+        inverse[i] = [x - c * y for x, y in zip(inverse[i], inverse[j])]
+    u = IntMatrix.from_rows(u)
+    ambient = Lattice(u.transpose() @ IntMatrix.from_rows(gram) @ u)
+    chain = IntMatrix.from_rows([row[:k] for row in inverse], cols=k)
+    return ambient, Sublattice(ambient, chain)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=a_k_chains())
+def test_solve_glue_on_generated_chains(case):
+    ambient, chain = case
+    sol = solve_glue(ambient, chain)
+    n, k = sol.n, chain.rank
+    gens = [chain.generator(i) for i in range(k)]
+    assert all(ambient.pairing(sol.H, c) == 0 for c in gens)
+    assert math.gcd(*sol.H) == 1
+    assert n == abs(gauss_det([list(row) + [x] for row, x in zip(chain.coords.entries, sol.H)]))
+    assert tuple([n * x for x in sol.h]) == tuple(
+        [x + sum(a * c[i] for a, c in zip(sol.a, gens)) for i, x in enumerate(sol.H)])
+    assert all(0 <= a < n for a in sol.a)
+    assert all(sol.a[i] == (i + 1) * sol.a[0] % n for i in range(k))
+    assert abs(gauss_det([list(row) + [x] for row, x in zip(chain.coords.entries, sol.h)])) == 1
 
 
 def test_solve_glue_sign_normalization():
