@@ -23,7 +23,7 @@ from .fibration import (
     check_fibration_rules,
     fiber_specs_from_json,
     kodaira_data,
-    weierstrass_from_json,
+    weierstrass_from_data,
 )
 from .fixtures import WEIERSTRASS_NAMES, weierstrass_model
 from .lattices import (
@@ -169,11 +169,10 @@ def cmd_fibration(args: argparse.Namespace) -> int:
         raise ValueError(
             f"unknown model {source!r}; give a built-in name ({known}) "
             "or a JSON file")
-    text = path.read_text()
-    data = decode_json(text)
+    data = decode_json(path.read_text())
     if isinstance(data, dict) and "fibers" in data:
         return _report_fibration_json(data, args.json)
-    return _report_analysis(analyze_k3(weierstrass_from_json(text)), args.json)
+    return _report_analysis(analyze_k3(weierstrass_from_data(data)), args.json)
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:

@@ -197,22 +197,40 @@ def _a4_valuations(w: WeierstrassModel, modulus: Poly) -> list[tuple[Poly, int |
             for h, v in _split_valuations(w.a4_cubed, modulus)]
 
 
+def _uniform_pieces(w: WeierstrassModel, modulus: Poly,
+                    vd: int) -> list[tuple[Poly, int | None, int | None]]:
+    """The modulus split into pieces (h, v(a4), v(a6)) of constant valuations.
+
+    At a root of Delta = -16 (4 a4^3 + 27 a6^2), 4 a4^3 = -27 a6^2, so a4
+    vanishes there iff a6 does.  Hence for vd >= 1 a piece with v(a4) = 0
+    has v(a6) = 0 and needs no a6 split; and vd = 1 means (0, 0), since a
+    common root of a4 and a6 has v(a4^3) >= 3 and v(a6^2) >= 2, so
+    v(Delta) >= 2.  The second fact needs a4 to be a polynomial; a
+    non-constant a4_cubed given without a4 keeps the split, where _third
+    still rejects a valuation of a4^3 that 3 does not divide.
+    """
+    if vd == 1 and (w.a4 is not None or w.a4_cubed.degree < 1):
+        return [(modulus, 0, 0)]
+    return [(h6, v4, v6) for h4, v4 in _a4_valuations(w, modulus)
+            for h6, v6 in ([(h4, 0)] if v4 == 0 and vd >= 1
+                           else _split_valuations(w.a6, h4))]
+
+
 def _classify_roots(w: WeierstrassModel, modulus: Poly, vd: int) -> list[FiberReport]:
     """Reports for the roots of a squarefree modulus on which v(Delta) = vd.
 
-    The modulus is split into pieces of constant v(a4) and v(a6); each
-    piece gives one report per rational root and one report bundling its
-    conjugate irrational roots, counted by degree.
+    Each piece of constant v(a4) and v(a6) gives one report per rational
+    root and one report bundling its conjugate irrational roots, counted
+    by degree.
     """
     reports = []
-    for h4, v4 in _a4_valuations(w, modulus):
-        for h6, v6 in _split_valuations(w.a6, h4):
-            fiber = _fiber_type(v4, v6, vd)
-            roots, rest = extract_rational_roots(h6)
-            reports.extend(FiberReport(str(r), *fiber) for r in roots)
-            if rest.degree > 0:
-                reports.append(FiberReport(format_poly(primitive_integer(rest)),
-                                           *fiber, count=rest.degree))
+    for h, v4, v6 in _uniform_pieces(w, modulus, vd):
+        fiber = _fiber_type(v4, v6, vd)
+        roots, rest = extract_rational_roots(h)
+        reports.extend(FiberReport(str(r), *fiber) for r in roots)
+        if rest.degree > 0:
+            reports.append(FiberReport(format_poly(primitive_integer(rest)),
+                                       *fiber, count=rest.degree))
     return reports
 
 
@@ -487,9 +505,11 @@ def extract_chain(ns: NeronSeveri, labels: Sequence[str]) -> Sublattice:
     return sub
 
 
-def _as_rational(value) -> Fraction:
+def _as_rational(value) -> Rational:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError("rationals must be integers or strings like '-27/4'")
+    if isinstance(value, int):
+        return value
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -504,7 +524,11 @@ def _poly_from_json(values) -> Poly:
 
 
 def weierstrass_from_json(text: str) -> WeierstrassModel:
-    data = decode_json(text)
+    return weierstrass_from_data(decode_json(text))
+
+
+def weierstrass_from_data(data) -> WeierstrassModel:
+    """The model of decoded Weierstrass JSON."""
     if not isinstance(data, dict) or "a6" not in data:
         raise ValueError("Weierstrass JSON needs a6 and one of a4, a4_cubed")
     label = data.get("label", "")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 RationalVector = tuple[Fraction, ...]
@@ -89,7 +90,7 @@ class IntMatrix:
             return IntMatrix.zeros(self.rows, other.cols)
         tcols = other.transpose().entries
         out = tuple([
-            tuple([sum(a * b for a, b in zip(row, col)) for col in tcols])
+            tuple([sum(map(mul, row, col)) for col in tcols])
             for row in self.entries
         ])
         return IntMatrix(self.rows, other.cols, out)
@@ -108,7 +109,7 @@ class IntMatrix:
 def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     if len(v) != m.cols:
         raise ValueError("vector length does not match matrix columns")
-    return tuple([sum(a * b for a, b in zip(row, v)) for row in m.entries])
+    return tuple([sum(map(mul, row, v)) for row in m.entries])
 
 
 class NoSolution:
@@ -328,8 +329,14 @@ def solve_integer(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | NoSolut
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match matrix rows")
-    d, left, right = smith_normal_form(m)
-    z = [0] * m.cols
+    return solve_smith(smith_normal_form(m), rhs)
+
+
+def solve_smith(smith: tuple[tuple[int, ...], IntMatrix, IntMatrix],
+                rhs: Sequence[int]) -> tuple[int, ...] | NoSolution:
+    """solve_integer for a matrix m given by its Smith form (d, left, right)."""
+    d, left, right = smith
+    z = [0] * right.rows
     for i, y in enumerate(mat_vec(left, rhs)):
         di = d[i] if i < len(d) else 0
         if di == 0 and y != 0 or di != 0 and y % di != 0:

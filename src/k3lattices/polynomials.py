@@ -199,11 +199,16 @@ def _primitive_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [x // content for x in r] if r and r[-1] > 0 else [-x // content for x in r]
 
 
-_IMAGE_PRIME = 1073741789  # the largest prime below 2^30
+_IMAGE_PRIME = 32749  # the largest prime below 2^15
 
 
 def _constant_image(x: Sequence[int], y: Sequence[int]) -> bool:
-    """Whether gcd(x mod p, y mod p) over GF(p) is a nonzero constant."""
+    """Whether gcd(x mod p, y mod p) over GF(p) is a nonzero constant.
+
+    With p < 2^15 every product of two residues in the Euclid loop is
+    below 2^30, one CPython digit, so the loop never builds a
+    multi-digit int.
+    """
     p = _IMAGE_PRIME
     a, b = [c % p for c in x], [c % p for c in y]
     while b and b[-1] == 0:
@@ -228,8 +233,10 @@ def _gcd_ints(x: Sequence[int], y: Sequence[int]) -> Sequence[int]:
     common factor g of the rest has lc(g) | lc(x), so when p does not
     divide lc(x) g keeps its degree mod p, and a constant gcd mod p proves
     g = 1 (Brown's lucky primes; von zur Gathen and Gerhard, Modern
-    Computer Algebra, 6.4).  Otherwise Brown's primitive pseudo-remainder
-    sequence (J. ACM 1971) finds the gcd with small coefficients.
+    Computer Algebra, 6.4).  This holds for any prime p; a small one only
+    makes an inconclusive image a little more likely.  Otherwise Brown's
+    primitive pseudo-remainder sequence (J. ACM 1971) finds the gcd with
+    small coefficients.
     """
     a = next(i for i, c in enumerate(x) if c)
     b = next(i for i, c in enumerate(y) if c)

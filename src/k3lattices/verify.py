@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .intmat import NO_SOLUTION, IntMatrix, det_exact, solve_integer
+from .intmat import NO_SOLUTION, IntMatrix, det_exact, solve_smith
 from .lattices import Lattice, discriminant_group, make_named, signature
 from .fibration import analyze_k3
 from .fixedlocus import (
@@ -93,7 +93,7 @@ def _overlattice_contains(over: Overlattice, vector: tuple[Fraction, ...]) -> bo
     scaled = [x * over.scale for x in vector]
     if any(x.denominator != 1 for x in scaled):
         return False
-    return solve_integer(over.scaled.transpose(), [int(x) for x in scaled]) is not NO_SOLUTION
+    return solve_smith(over.smith, [int(x) for x in scaled]) is not NO_SOLUTION
 
 
 def run_verification(perturb: bool = False) -> VerificationReport:

@@ -266,3 +266,57 @@ def divisor_rational_roots(coeffs):
                 if value == 0:
                     roots.add(x)
     return sorted(roots)
+
+
+def root_valuation(coeffs, r):
+    """Multiplicity of r as a root of a polynomial by repeated exact
+    division by t - r over Fractions; None for the zero polynomial."""
+    f, v = _trim(coeffs), 0
+    if not f:
+        return None
+    while True:
+        quot, rem = fraction_divmod(f, [-Fraction(r), 1])
+        if rem:
+            return v
+        f, v = quot, v + 1
+
+
+def tate_symbol(v4, v6, vd):
+    """Kodaira symbol of a place of y^2 = x^3 + a4 x + a6 from the
+    valuations of a4, a6 and Delta (None: the coefficient is zero), by
+    Tate's table in characteristic 0; "non-minimal" when v4 >= 4 and
+    v6 >= 6."""
+    big = 10 ** 9
+    v4, v6 = big if v4 is None else v4, big if v6 is None else v6
+    if v4 >= 4 and v6 >= 6:
+        return "non-minimal"
+    if vd == 0:
+        return "I0"
+    if min(v4, v6) == 0:
+        # 4 a4^3 = -27 a6^2 at a root of Delta: a4 and a6 vanish together
+        assert v4 == v6 == 0, (v4, v6, vd)
+        return f"I{vd}"
+    if (v4, v6) == (2, 3) and vd > 6:
+        return f"I{vd - 6}*"
+    return {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*"}[vd]
+
+
+def weierstrass_symbols(a4, a6):
+    """{place: Kodaira symbol} of y^2 = x^3 + a4 x + a6, for a4 and a6
+    given as ascending integer lists of degree at most 8 and 12, at every
+    rational root of Delta = -16 (4 a4^3 + 27 a6^2) and, under the key
+    "inf", at infinity when Delta has degree below 24.  Valuations come
+    from root_valuation; at infinity they are 8 - deg a4, 12 - deg a6
+    and 24 - deg Delta."""
+    cube = fraction_product(fraction_product(a4, a4), a4)
+    delta = [-16 * c for c in fraction_sum([4 * c for c in cube],
+                                           [27 * c for c in fraction_product(a6, a6)])]
+    content = math.gcd(*[int(c) for c in delta])
+    symbols = {r: tate_symbol(root_valuation(a4, r), root_valuation(a6, r),
+                              root_valuation(delta, r))
+               for r in divisor_rational_roots([c / content for c in delta])}
+    if len(delta) < 25:
+        a4, a6 = _trim(a4), _trim(a6)
+        symbols["inf"] = tate_symbol(9 - len(a4) if a4 else None,
+                                     13 - len(a6) if a6 else None, 25 - len(delta))
+    return symbols

@@ -4,6 +4,7 @@ intersection-lattice builder."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k3lattices.fibration import (
     INFINITY,
@@ -33,7 +34,7 @@ from k3lattices.fixtures import (
 from k3lattices.lattices import make_named, signature
 from k3lattices.polynomials import Poly
 
-from oracles import gauss_det
+from oracles import fraction_product, fraction_sum, gauss_det, weierstrass_symbols
 
 T = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -416,3 +417,46 @@ def test_fibration_json_rejects_malformed():
         fibration_from_json('{"fibers": [{"place": "0"}], "mw_rank": 0}')
     with pytest.raises(ValueError):
         fibration_from_json('{"fibers": {}, "mw_rank": 0}')
+
+
+@st.composite
+def weierstrass_coefficients(draw):
+    """(a4, a6) as ascending integer lists: generic; t^i * f and t^j * g,
+    additive at 0 when f(0) g(0) != 0; or -3 h^2 and 2 h^3 + t^n * g,
+    where Delta = -432 t^n g (4 h^3 + t^n g) makes 0 a place of type I_n
+    when h(0) g(0) != 0."""
+    small = st.lists(st.integers(-3, 3), min_size=1, max_size=5)
+    kind = draw(st.sampled_from(["generic", "additive", "multiplicative"]))
+    if kind == "multiplicative":
+        h, g, n = draw(small)[:3], draw(small), draw(st.integers(1, 6))
+        a4 = [-3 * c for c in fraction_product(h, h)]
+        a6 = fraction_sum([2 * c for c in fraction_product(fraction_product(h, h), h)],
+                          [0] * n + g)
+        return a4, a6
+    i, j = (0, 0) if kind == "generic" else draw(
+        st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 4), (3, 5)]))
+    return [0] * i + draw(small), [0] * j + draw(small) + draw(small)[:2]
+
+
+@settings(deadline=None, max_examples=100)
+@given(coeffs=weierstrass_coefficients())
+def test_analyze_k3_matches_the_valuation_oracle(coeffs):
+    a4, a6 = coeffs
+    try:
+        w = WeierstrassModel.from_a4(Poly.of(a4), Poly.of(a6))
+    except ValueError:      # the discriminant vanishes identically
+        assume(False)
+    expected = weierstrass_symbols(a4, a6)
+    if "non-minimal" in [s for place, s in expected.items() if place != "inf"]:
+        with pytest.raises(NonMinimalModelError):
+            analyze_k3(w)
+        return
+    analysis = analyze_k3(w)
+    if expected.get("inf") == "non-minimal":
+        del expected["inf"]
+        assert [n.split(":")[0] for n in analysis.notes] == ["place at infinity skipped"]
+    rational = {r.place if r.place == "inf" else Fraction(r.place): r.kodaira
+                for r in analysis.fibers if "t" not in r.place or r.place == "inf"}
+    assert rational == expected
+    finite = [r for r in analysis.fibers if r.place != "inf"]
+    assert sum(r.euler * r.count for r in finite) == w.discriminant.degree

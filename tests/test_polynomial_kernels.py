@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3lattices import polynomials
+from k3lattices import fibration, polynomials
 from k3lattices.fibration import WeierstrassModel
 from k3lattices.polynomials import Poly, extract_rational_roots, poly_gcd, squarefree_parts
 
@@ -252,3 +252,22 @@ def test_discriminant_gcds_need_no_remainder_sequence(remainder_calls, model, pa
     assert poly_gcd((T + Poly.constant(1)) * (T + Poly.constant(2)),
                     (T + Poly.constant(1)) * (T + Poly.constant(3))) == T + Poly.constant(1)
     assert remainder_calls
+
+
+@pytest.mark.parametrize("model, moduli", [(GENERIC, []), (ADDITIVE, [T, T])],
+                         ids=["squarefree", "t6-times-squarefree"])
+def test_classification_splits_only_additive_places(monkeypatch, model, moduli):
+    # v(Delta) = 1 fixes (v(a4), v(a6)) = (0, 0), so only the t piece of
+    # ADDITIVE, where v(Delta) = 6, is split by v(a4) and then v(a6)
+    calls = []
+    split = fibration.uniform_valuations
+
+    def counted(f, modulus):
+        calls.append(modulus)
+        return split(f, modulus)
+
+    monkeypatch.setattr(fibration, "uniform_valuations", counted)
+    analysis = fibration.analyze_k3(model)
+    assert calls == moduli
+    assert [(r.kodaira, r.count) for r in analysis.fibers if r.place != "inf"] == \
+        ([("I1", 24)] if model is GENERIC else [("I0*", 1), ("I1", 16)])
