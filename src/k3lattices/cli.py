@@ -25,7 +25,7 @@ from .fibration import (
     kodaira_data,
     weierstrass_from_data,
 )
-from .fixtures import WEIERSTRASS_NAMES, weierstrass_model
+from .fixtures import NS_RANK, WEIERSTRASS_NAMES, weierstrass_model
 from .lattices import (
     decode_json,
     discriminant_group,
@@ -162,7 +162,7 @@ def _report_fibration_json(data: dict, as_json: bool) -> int:
 def cmd_fibration(args: argparse.Namespace) -> int:
     source = args.model
     if source in WEIERSTRASS_NAMES:
-        return _report_analysis(analyze_k3(weierstrass_model(source)), args.json)
+        return _report_analysis(analyze_k3(weierstrass_model(source), NS_RANK), args.json)
     path = Path(source)
     if not path.is_file():
         known = ", ".join(WEIERSTRASS_NAMES)
@@ -172,7 +172,7 @@ def cmd_fibration(args: argparse.Namespace) -> int:
     data = decode_json(path.read_text())
     if isinstance(data, dict) and "fibers" in data:
         return _report_fibration_json(data, args.json)
-    return _report_analysis(analyze_k3(weierstrass_from_data(data)), args.json)
+    return _report_analysis(analyze_k3(weierstrass_from_data(data), NS_RANK), args.json)
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:

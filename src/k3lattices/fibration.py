@@ -16,7 +16,6 @@ exact arithmetic.  Every valuation of a4^3 must then be divisible by 3.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .intmat import IntMatrix
-from .lattices import Lattice, decode_json
+from .lattices import Lattice
 from .polynomials import (
     Poly,
     Rational,
@@ -270,7 +269,7 @@ def _report_key(r: FiberReport):
         return (1, r.place)
 
 
-def analyze_k3(w: WeierstrassModel, ns_rank: int = 16) -> FibrationAnalysis:
+def analyze_k3(w: WeierstrassModel, ns_rank: int) -> FibrationAnalysis:
     """Classify every singular place and run the Shioda-Tate accounting.
 
     Conjugate irrational places are bundled per irreducible-factor handle
@@ -493,7 +492,7 @@ def extract_chain(ns: NeronSeveri, labels: Sequence[str]) -> Sublattice:
     cols = [ns.vectors[c] for c in labels]
     coords = IntMatrix.from_rows([[col[i] for col in cols]
                                   for i in range(ns.lattice.rank)])
-    sub = Sublattice(ns.lattice, coords, label=f"chain({len(cols)})")
+    sub = Sublattice(ns.lattice, coords)
     gram = sub.induced_gram()
     for i in range(len(cols)):
         for j in range(len(cols)):
@@ -523,10 +522,6 @@ def _poly_from_json(values) -> Poly:
     return Poly.of([_as_rational(v) for v in values])
 
 
-def weierstrass_from_json(text: str) -> WeierstrassModel:
-    return weierstrass_from_data(decode_json(text))
-
-
 def weierstrass_from_data(data) -> WeierstrassModel:
     """The model of decoded Weierstrass JSON."""
     if not isinstance(data, dict) or "a6" not in data:
@@ -538,19 +533,6 @@ def weierstrass_from_data(data) -> WeierstrassModel:
     if "a4" in data:
         return WeierstrassModel.from_a4(_poly_from_json(data["a4"]), a6, label)
     return WeierstrassModel.from_a4_cubed(_as_rational(data["a4_cubed"]), a6, label)
-
-
-def weierstrass_to_json(w: WeierstrassModel) -> str:
-    data: dict = {"label": w.label}
-    if w.a4 is not None:
-        data["a4"] = [str(c) for c in w.a4.coeffs]
-    else:
-        if w.a4_cubed.degree > 0:
-            raise ValueError("only constant a4_cubed serializes")
-        value = w.a4_cubed.evaluate(0)
-        data["a4_cubed"] = str(value)
-    data["a6"] = [str(c) for c in w.a6.coeffs]
-    return json.dumps(data, sort_keys=True)
 
 
 def _json_int(value, name: str) -> int:
@@ -579,23 +561,3 @@ def fiber_specs_from_json(data) -> tuple[tuple[FiberSpec, ...], int]:
             count=_json_int(entry.get("count", 1), "count"),
         ))
     return tuple(specs), _json_int(data["mw_rank"], "mw_rank")
-
-
-def fibration_from_json(text: str) -> FibrationModel:
-    return FibrationModel(*fiber_specs_from_json(decode_json(text)))
-
-
-def fibration_to_json(model: FibrationModel) -> str:
-    return json.dumps({
-        "fibers": [
-            {
-                "place": f.place,
-                "type": f.kodaira,
-                "identity": f.identity,
-                "components": list(f.components),
-                "count": f.count,
-            }
-            for f in model.fibers
-        ],
-        "mw_rank": model.mw_rank,
-    }, sort_keys=True)

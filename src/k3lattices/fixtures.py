@@ -7,13 +7,15 @@ Two rigid elliptic K3 models carry an order-7 action on the base:
   e7e6:  y^2 = x^3 + t^3*x + t^8; fibers III* over t = 0, IV* over
          infinity, seven I1 over 27*t^7 + 4 = 0.
 
-The first has Mordell-Weil rank 0, so its Neron-Severi lattice is
-spanned by the section S, the fiber class F and the fiber components,
-labeled G1..G7 (the I7 cycle, G7 meeting S) and T1..T9 (the II* tree,
-T1..T8 a chain with T9 attached to T6, T1 meeting S).  The two
-15-chains below are the only ways to run through the components as a
-linear chain of (-2)-curves, and both span an A15 sublattice of
-corank 1."""
+The fibration of i7e8 is read off its Weierstrass model; the component
+labels in LABELS are the only hand-given data of its configuration.
+It has Mordell-Weil rank 0, so its Neron-Severi lattice is spanned by
+the section S, the fiber class F and the fiber components, labeled
+G1..G7 (the I7 cycle, G7 meeting S) and T1..T9 (the II* tree, T1..T8 a
+chain with T9 attached to T6, T1 meeting S).  The curve graph of the
+walk is read off that lattice.  The two 15-chains below are the only
+ways to run through the components as a linear chain of (-2)-curves,
+and both span an A15 sublattice of corank 1."""
 
 from __future__ import annotations
 
@@ -25,10 +27,12 @@ from .fibration import (
     FibrationModel,
     NeronSeveri,
     WeierstrassModel,
+    analyze_k3,
     build_neron_severi,
     extract_chain,
 )
 from .fixedlocus import ChainWalk, walk_chain
+from .intmat import IntMatrix
 from .lattices import Lattice, make_named
 from .polynomials import Poly
 from .sublattices import (
@@ -41,20 +45,21 @@ from .sublattices import (
 
 WEIERSTRASS_NAMES = ("i7e8", "e7e6")
 
+NS_RANK = 16
+"""Neron-Severi rank of the paper's K3 surfaces, the Shioda-Tate target."""
+
+# (identity, component labels) of the reducible i7e8 fibers, by place
+LABELS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "0": ("G7", ("G1", "G2", "G3", "G4", "G5", "G6", "G7")),
+    "inf": ("T1", ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9")),
+}
+
 CHAINS: dict[str, tuple[str, ...]] = {
     "a15-chain-1": ("G2", "G3", "G4", "G5", "G6", "G7", "S",
                     "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"),
     "a15-chain-2": ("G5", "G4", "G3", "G2", "G1", "G7", "S",
                     "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"),
 }
-
-WALK_EDGES: tuple[tuple[str, str], ...] = (
-    ("G1", "G2"), ("G2", "G3"), ("G3", "G4"), ("G4", "G5"),
-    ("G5", "G6"), ("G6", "G7"), ("G7", "G1"),
-    ("G7", "S"), ("S", "T1"),
-    ("T1", "T2"), ("T2", "T3"), ("T3", "T4"), ("T4", "T5"),
-    ("T5", "T6"), ("T6", "T7"), ("T7", "T8"), ("T6", "T9"),
-)
 
 WALK_FIXED: tuple[str, ...] = ("G7", "T6")
 
@@ -79,14 +84,10 @@ def weierstrass_model(name: str) -> WeierstrassModel:
 
 @cache
 def reference_fibration() -> FibrationModel:
-    return FibrationModel((
-        FiberSpec("0", "I7", identity="G7",
-                  components=("G1", "G2", "G3", "G4", "G5", "G6", "G7")),
-        FiberSpec("t^7 - 2", "I1", count=7),
-        FiberSpec("inf", "II*", identity="T1",
-                  components=("T1", "T2", "T3", "T4", "T5", "T6", "T7",
-                              "T8", "T9")),
-    ), mw_rank=0)
+    analysis = analyze_k3(weierstrass_model("i7e8"), NS_RANK)
+    return FibrationModel(tuple([
+        FiberSpec(r.place, r.kodaira, *LABELS.get(r.place, ("", ())), count=r.count)
+        for r in analysis.fibers]), analysis.mw_rank)
 
 
 @cache
@@ -108,9 +109,19 @@ def chain_glue(name: str) -> GlueSolution:
                       positive_against=ns.vectors["F"])
 
 
+def reference_curve_edges() -> tuple[tuple[str, str], ...]:
+    """Pairs of curves of i7e8 (S and every component) meeting once."""
+    ns = reference_neron_severi()
+    curves = [c for c in ns.vectors if c != "F"]
+    c = IntMatrix.from_rows([ns.vectors[k] for k in curves])
+    pairing = c @ ns.lattice.gram @ c.transpose()
+    return tuple([(a, b) for i, a in enumerate(curves)
+                  for j, b in enumerate(curves) if i < j and pairing[i, j] == 1])
+
+
 @cache
 def reference_walk() -> ChainWalk:
-    return walk_chain(WALK_EDGES, WALK_FIXED)
+    return walk_chain(reference_curve_edges(), WALK_FIXED)
 
 
 @cache

@@ -266,10 +266,6 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
     return group
 
 
-def lattice_to_json(l: Lattice) -> str:
-    return json.dumps({"label": l.label, "gram": l.gram.to_lists()})
-
-
 def decode_json(text: str):
     """json.loads, with nesting too deep for the decoder reported as bad
     input (ValueError) like any other malformed JSON."""

@@ -31,7 +31,6 @@ class Sublattice:
 
     ambient: Lattice
     coords: IntMatrix
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.coords.rows != self.ambient.rank:
@@ -55,17 +54,13 @@ class Sublattice:
         return self.coords.col(j)
 
 
-def full_sublattice(ambient: Lattice, label: str = "") -> Sublattice:
-    return Sublattice(ambient, IntMatrix.identity(ambient.rank), label)
-
-
 def orthogonal_complement(s: Sublattice) -> Sublattice:
     """Saturated sublattice of everything orthogonal to s."""
     if s.ambient.det == 0:
         raise ValueError("complement needs a nondegenerate ambient lattice")
     system = s.coords.transpose() @ s.ambient.gram
     kernel = integer_kernel(system)
-    return Sublattice(s.ambient, kernel, f"({s.label})^perp" if s.label else "")
+    return Sublattice(s.ambient, kernel)
 
 
 def is_primitive(s: Sublattice) -> bool:

@@ -28,6 +28,7 @@ from .fixtures import (
     EXPECTED_P26,
     EXPECTED_P35,
     EXPECTED_P44,
+    NS_RANK,
     chain_glue,
     chain_sublattice,
     overlattice_pair,
@@ -129,7 +130,7 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         {"det": k7.det, "signature": (k7_sig.positive, k7_sig.negative, k7_sig.zero),
          "even": k7.is_even})
 
-    first = analyze_k3(weierstrass_model("i7e8"))
+    first = analyze_k3(weierstrass_model("i7e8"), NS_RANK)
     shape = tuple([(r.place, r.kodaira, r.count) for r in first.fibers])
     add("04-fibers-i7e8",
         "i7e8: I7 at t = 0, II* at infinity, 7 I1 on t^7 - 2, Euler 24, MW 0",
@@ -137,7 +138,7 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         and first.euler_total == 24 and first.mw_rank == 0,
         {"fibers": shape, "euler": first.euler_total, "mw_rank": first.mw_rank})
 
-    second = analyze_k3(weierstrass_model("e7e6"))
+    second = analyze_k3(weierstrass_model("e7e6"), NS_RANK)
     shape = tuple([(r.place, r.kodaira, r.count) for r in second.fibers])
     add("05-fibers-e7e6",
         "e7e6: III* at t = 0, IV* at infinity, 7 I1 on 27*t^7 + 4, MW 1",

@@ -11,7 +11,7 @@ from k3lattices.cli import main
 from k3lattices.fibration import analyze_k3
 from k3lattices.fixedlocus import fixed_locus_table, fixed_pair_search, \
     lefschetz_check, table_rows
-from k3lattices.fixtures import CHAINS, chain_glue, chain_sublattice, \
+from k3lattices.fixtures import CHAINS, NS_RANK, chain_glue, chain_sublattice, \
     glue_target, overlattice_pair, reference_neron_severi, reference_walk, \
     weierstrass_model
 from k3lattices.intmat import NO_SOLUTION, IntMatrix, det_exact, solve_rational
@@ -67,7 +67,7 @@ def test_c04_first_model_classification():
         w = weierstrass_model("i7e8")
         t7 = Poly.monomial(7)
         assert w.discriminant == t7 * (t7 - Poly.constant(2)) * -432
-        analysis = analyze_k3(w)
+        analysis = analyze_k3(w, NS_RANK)
         shape = [(r.place, r.kodaira, r.count) for r in analysis.fibers]
         assert shape == [("0", "I7", 1), ("t^7 - 2", "I1", 7), ("inf", "II*", 1)]
         assert analysis.euler_total == 24
@@ -77,7 +77,7 @@ def test_c04_first_model_classification():
 def test_c05_second_model_classification():
     with criterion(5, "second model: III* at 0, IV* at infinity, seven I1 on "
                       "27 t^7 + 4 = 0, MW rank 1"):
-        analysis = analyze_k3(weierstrass_model("e7e6"))
+        analysis = analyze_k3(weierstrass_model("e7e6"), NS_RANK)
         shape = [(r.place, r.kodaira, r.count) for r in analysis.fibers]
         assert shape == [("0", "III*", 1), ("27*t^7 + 4", "I1", 7),
                          ("inf", "IV*", 1)]

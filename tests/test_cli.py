@@ -1,12 +1,12 @@
 """End-to-end tests for the command line interface, run in-process."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from k3lattices.cli import _print_fiber_table, main
-from k3lattices.fibration import weierstrass_from_json, weierstrass_to_json
-from k3lattices.lattices import lattice_to_json, make_named
+from k3lattices.fibration import weierstrass_from_data
 
 
 def run(capsys, *argv):
@@ -50,7 +50,7 @@ def test_lattice_info_composite_name(capsys):
 
 def test_lattice_info_from_file(capsys, tmp_path):
     path = tmp_path / "k7.json"
-    path.write_text(lattice_to_json(make_named("K7")))
+    path.write_text(json.dumps({"label": "K7", "gram": [[-4, 1], [1, -2]]}))
     code, out, _ = run(capsys, "lattice-info", str(path))
     assert code == 0
     assert "det         7" in out
@@ -314,16 +314,18 @@ def test_fibration_reports_of_rational_content_models(capsys, tmp_path, model,
     assert run(capsys, "fibration", str(path)) == (code, text, "")
 
 
-@pytest.mark.parametrize("model, text", [
+@pytest.mark.parametrize("model, a4, a4_cubed, a6", [
     ({"a4": ["1/2", "0", "3/7"], "a6": ["-5/3", 0, 0, 0, 0, 0, 0, "2/9"]},
-     '{"a4": ["1/2", "0", "3/7"], "a6": ["-5/3", "0", "0", "0", "0", "0", "0", '
-     '"2/9"], "label": ""}'),
+     (Fraction(1, 2), 0, Fraction(3, 7)),
+     (Fraction(1, 8), 0, Fraction(9, 28), 0, Fraction(27, 98), 0, Fraction(27, 343)),
+     (Fraction(-5, 3), 0, 0, 0, 0, 0, 0, Fraction(2, 9))),
     ({"a4_cubed": "-27/4", "a6": ["-1", 0, 0, 0, 0, 0, 0, "-3/7"]},
-     '{"a4_cubed": "-27/4", "a6": ["-1", "0", "0", "0", "0", "0", "0", "-3/7"], '
-     '"label": ""}'),
+     None, (Fraction(-27, 4),), (-1, 0, 0, 0, 0, 0, 0, Fraction(-3, 7))),
 ], ids=["fractional-a4-a6", "a4-cubed-negative-a6"])
-def test_weierstrass_json_of_rational_content_models(model, text):
-    assert weierstrass_to_json(weierstrass_from_json(json.dumps(model))) == text
+def test_weierstrass_json_of_rational_content_models(model, a4, a4_cubed, a6):
+    w = weierstrass_from_data(model)
+    assert (None if w.a4 is None else w.a4.coeffs, w.a4_cubed.coeffs, w.a6.coeffs,
+            w.label) == (a4, a4_cubed, a6, "")
 
 
 def test_fibration_unknown_source(capsys):

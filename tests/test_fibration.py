@@ -1,6 +1,7 @@
 """Tests for Weierstrass models, fiber classification, and the
 intersection-lattice builder."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,14 +20,13 @@ from k3lattices.fibration import (
     classify_place,
     extract_chain,
     fiber_graph,
-    fibration_from_json,
-    fibration_to_json,
+    fiber_specs_from_json,
     kodaira_data,
-    weierstrass_from_json,
-    weierstrass_to_json,
+    weierstrass_from_data,
 )
 from k3lattices.fixtures import (
     CHAINS,
+    NS_RANK,
     reference_fibration,
     reference_neron_severi,
     weierstrass_model,
@@ -111,12 +111,12 @@ def test_non_minimal_place_raises_with_hint():
     with pytest.raises(NonMinimalModelError, match="x -> u\\^2 x"):
         classify_place(w, 0)
     with pytest.raises(NonMinimalModelError):
-        analyze_k3(w)
+        analyze_k3(w, NS_RANK)
 
 
 def test_non_minimal_at_infinity_becomes_note():
     w = WeierstrassModel.from_a4(Poly.monomial(4) + ONE, Poly.monomial(6))
-    analysis = analyze_k3(w)
+    analysis = analyze_k3(w, NS_RANK)
     assert any("infinity" in note for note in analysis.notes)
     assert not analysis.euler_ok
     assert not analysis.consistent
@@ -144,7 +144,7 @@ def test_kodaira_catalog():
 # --- full analyses --------------------------------------------------------
 
 def test_analyze_first_model():
-    analysis = analyze_k3(weierstrass_model("i7e8"))
+    analysis = analyze_k3(weierstrass_model("i7e8"), NS_RANK)
     shape = [(r.place, r.kodaira, r.count) for r in analysis.fibers]
     assert shape == [("0", "I7", 1), ("t^7 - 2", "I1", 7), ("inf", "II*", 1)]
     assert analysis.euler_total == 24
@@ -153,7 +153,7 @@ def test_analyze_first_model():
 
 
 def test_analyze_second_model():
-    analysis = analyze_k3(weierstrass_model("e7e6"))
+    analysis = analyze_k3(weierstrass_model("e7e6"), NS_RANK)
     shape = [(r.place, r.kodaira, r.count) for r in analysis.fibers]
     assert shape == [("0", "III*", 1), ("27*t^7 + 4", "I1", 7), ("inf", "IV*", 1)]
     assert analysis.euler_total == 24
@@ -165,7 +165,7 @@ def test_analyze_rational_singular_points():
     # y^2 = x^3 + x + t^2: nodal fibers where -16(4 + 27 t^4) has roots;
     # all roots are irrational, so one handle of four I1 fibers remains
     w = WeierstrassModel.from_a4(ONE, Poly.monomial(2))
-    analysis = analyze_k3(w)
+    analysis = analyze_k3(w, NS_RANK)
     assert [(r.place, r.kodaira, r.count) for r in analysis.fibers] \
         == [("27*t^4 + 4", "I1", 4)]
     assert analysis.euler_total == 4
@@ -174,7 +174,7 @@ def test_analyze_rational_singular_points():
 
 def test_analyze_trivial_model_flags():
     w = WeierstrassModel.from_a4(ONE, Poly.constant(0))
-    analysis = analyze_k3(w)
+    analysis = analyze_k3(w, NS_RANK)
     assert analysis.euler_total == 0
     assert not analysis.euler_ok
     assert not analysis.consistent
@@ -188,9 +188,9 @@ def _reports(analysis):
 def test_analyze_piece_with_rational_and_irrational_roots():
     # Delta = -8 t^2 (t^2 + 1)^2 (216 t^4 + ...): one Yun piece of
     # multiplicity 2 holds both the root 0 and the factor t^2 + 1
-    w = weierstrass_from_json(
-        '{"a4": ["0", "1/2", "0", "1/2"], "a6": ["0", "8", "8", "10", "8", "2"]}')
-    analysis = analyze_k3(w)
+    w = weierstrass_from_data(
+        {"a4": ["0", "1/2", "0", "1/2"], "a6": ["0", "8", "8", "10", "8", "2"]})
+    analysis = analyze_k3(w, NS_RANK)
     assert _reports(analysis) == [
         ("0", "II", 2, 1, None, 1),
         ("216*t^4 + 1729*t^3 + 5184*t^2 + 6913*t + 3456", "I1", 1, 1, None, 4),
@@ -203,12 +203,12 @@ def test_analyze_piece_with_rational_and_irrational_roots():
                               "(a4, a6) by (u^4, u^6) and retry",)
 
 
-A4_ZERO = '{"a4": [], "a6": ["4", "2", "6", "3", "0", "0", "-2", "-1"]}'
+A4_ZERO = {"a4": [], "a6": ["4", "2", "6", "3", "0", "0", "-2", "-1"]}
 
 
 def test_analyze_model_without_a4():
-    w = weierstrass_from_json(A4_ZERO)
-    analysis = analyze_k3(w)
+    w = weierstrass_from_data(A4_ZERO)
+    analysis = analyze_k3(w, NS_RANK)
     assert _reports(analysis) == [
         ("-2", "II", 2, 1, None, 1),
         ("t^2 + 1", "IV", 4, 3, "A2", 2),
@@ -220,9 +220,9 @@ def test_analyze_model_without_a4():
 
 def test_classify_place_matches_analysis_at_rational_places():
     models = [weierstrass_model("i7e8"), weierstrass_model("e7e6"),
-              weierstrass_from_json(A4_ZERO)]
+              weierstrass_from_data(A4_ZERO)]
     for w in models:
-        for report in analyze_k3(w).fibers:
+        for report in analyze_k3(w, NS_RANK).fibers:
             if report.count == 1:
                 place = INFINITY if report.place == "inf" else Fraction(report.place)
                 assert classify_place(w, place) == report
@@ -301,6 +301,17 @@ def test_fibration_model_validation():
             FiberSpec("2", "I1", count=4)), 0)
 
 
+def test_reference_fibration_is_read_off_the_model():
+    assert reference_fibration() == FibrationModel((
+        FiberSpec("0", "I7", identity="G7",
+                  components=("G1", "G2", "G3", "G4", "G5", "G6", "G7")),
+        FiberSpec("t^7 - 2", "I1", count=7),
+        FiberSpec("inf", "II*", identity="T1",
+                  components=("T1", "T2", "T3", "T4", "T5", "T6", "T7",
+                              "T8", "T9")),
+    ), mw_rank=0)
+
+
 def test_reference_neron_severi_invariants():
     ns = reference_neron_severi()
     lat = ns.lattice
@@ -375,48 +386,19 @@ def test_extract_chain_rejects_non_chains():
 
 # --- JSON ------------------------------------------------------------------
 
-def test_weierstrass_json_roundtrip():
-    w = weierstrass_model("e7e6")
-    again = weierstrass_from_json(weierstrass_to_json(w))
-    assert again.a4_cubed == w.a4_cubed
-    assert again.a6 == w.a6
-    assert again.label == w.label
-
-    cube_only = weierstrass_model("i7e8")
-    again = weierstrass_from_json(weierstrass_to_json(cube_only))
-    assert again.a4_cubed == cube_only.a4_cubed
-    assert again.a4 is None
-    assert again.a4_cubed.evaluate(0) == Fraction(-27, 4)
-
-
 def test_weierstrass_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        weierstrass_from_json("{}")
-    with pytest.raises(ValueError):
-        weierstrass_from_json('{"a6": [1]}')
-    with pytest.raises(ValueError):
-        weierstrass_from_json('{"a4": [1], "a4_cubed": "1", "a6": ["1"]}')
-    with pytest.raises(ValueError):
-        weierstrass_from_json('{"a4": [0.5], "a6": ["1"]}')
-    with pytest.raises(ValueError):
-        weierstrass_from_json('{"a4": "1", "a6": ["1"]}')
-
-
-def test_fibration_json_roundtrip():
-    model = reference_fibration()
-    again = fibration_from_json(fibration_to_json(model))
-    assert again == model
+    for text in ("{}", '{"a6": [1]}', '{"a4": [1], "a4_cubed": "1", "a6": ["1"]}',
+                 '{"a4": [0.5], "a6": ["1"]}', '{"a4": "1", "a6": ["1"]}'):
+        with pytest.raises(ValueError):
+            weierstrass_from_data(json.loads(text))
 
 
 def test_fibration_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        fibration_from_json("[]")
-    with pytest.raises(ValueError):
-        fibration_from_json('{"fibers": [], "mw_rank": true}')
-    with pytest.raises(ValueError):
-        fibration_from_json('{"fibers": [{"place": "0"}], "mw_rank": 0}')
-    with pytest.raises(ValueError):
-        fibration_from_json('{"fibers": {}, "mw_rank": 0}')
+    for text in ("[]", '{"fibers": [], "mw_rank": true}',
+                 '{"fibers": [{"place": "0"}], "mw_rank": 0}',
+                 '{"fibers": {}, "mw_rank": 0}'):
+        with pytest.raises(ValueError):
+            fiber_specs_from_json(json.loads(text))
 
 
 @st.composite
@@ -449,9 +431,9 @@ def test_analyze_k3_matches_the_valuation_oracle(coeffs):
     expected = weierstrass_symbols(a4, a6)
     if "non-minimal" in [s for place, s in expected.items() if place != "inf"]:
         with pytest.raises(NonMinimalModelError):
-            analyze_k3(w)
+            analyze_k3(w, NS_RANK)
         return
-    analysis = analyze_k3(w)
+    analysis = analyze_k3(w, NS_RANK)
     if expected.get("inf") == "non-minimal":
         del expected["inf"]
         assert [n.split(":")[0] for n in analysis.notes] == ["place at infinity skipped"]

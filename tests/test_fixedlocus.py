@@ -12,7 +12,7 @@ from k3lattices.fixedlocus import (
     table_rows,
     walk_chain,
 )
-from k3lattices.fixtures import WALK_EDGES, WALK_FIXED, reference_walk
+from k3lattices.fixtures import WALK_FIXED, reference_curve_edges, reference_walk
 
 # the known placement of the thirteen isolated points on the reference
 # configuration, grouped by local exponent pair, listed by carrier curves
@@ -106,6 +106,22 @@ def test_reference_walk_matches_table_row():
     walk = reference_walk()
     assert count_check(walk, fixed_locus_table("U + E8 + A6"))
     assert not count_check(walk, fixed_locus_table("U + E8"))
+
+
+# the curve graph of i7e8: the I7 cycle, the II* tree and the section
+WALK_EDGES = (
+    ("G1", "G2"), ("G2", "G3"), ("G3", "G4"), ("G4", "G5"),
+    ("G5", "G6"), ("G6", "G7"), ("G7", "G1"),
+    ("G7", "S"), ("S", "T1"),
+    ("T1", "T2"), ("T2", "T3"), ("T3", "T4"), ("T4", "T5"),
+    ("T5", "T6"), ("T6", "T7"), ("T7", "T8"), ("T6", "T9"),
+)
+
+
+def test_curve_edges_read_off_the_neron_severi_lattice():
+    derived = reference_curve_edges()
+    assert len(derived) == len(WALK_EDGES)
+    assert {frozenset(e) for e in derived} == {frozenset(e) for e in WALK_EDGES}
 
 
 def test_walk_rebuilt_from_raw_edges():

@@ -1,7 +1,9 @@
 """The package holds no floating-point numbers and imports nothing outside
 the standard library, as the README promises, and builds no tuple from a
 generator; checked on the syntax tree of every module.  No module of the
-package or of the tests imports a name it never uses."""
+package or of the tests imports a name it never uses, and every public
+function or class of the package is either used by the package or
+exported."""
 
 import ast
 import sys
@@ -93,3 +95,36 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
     unused = sorted(set(imported) - used - _exported(module))
     assert not unused, [f"{path.name}:{imported[name]} {name}" for name in unused]
+
+
+# looked up by name by perfbench/tracing.py, so it waits on ROADMAP item 0
+UNUSED_ALLOWED = {"unimodular_inverse"}
+
+
+def _names_used(node):
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            used.update(alias.name for alias in sub.names)
+    return used
+
+
+def test_every_public_definition_is_used_or_exported():
+    defined, used, exported = {}, set(), set()
+    for path in MODULES:
+        module = tree(path)
+        exported |= _exported(module)
+        for node in module.body:
+            names = _names_used(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined[node.name] = path.name
+                names.discard(node.name)     # a def does not use itself
+            used |= names
+    unused = sorted(f"{defined[name]}: {name}"
+                    for name in set(defined) - used - exported - UNUSED_ALLOWED)
+    assert not unused, unused

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from k3lattices import fibration, polynomials
 from k3lattices.fibration import WeierstrassModel
+from k3lattices.fixtures import NS_RANK
 from k3lattices.polynomials import Poly, extract_rational_roots, poly_gcd, squarefree_parts
 
 from oracles import divisor_rational_roots, euclid_gcd
@@ -267,7 +268,7 @@ def test_classification_splits_only_additive_places(monkeypatch, model, moduli):
         return split(f, modulus)
 
     monkeypatch.setattr(fibration, "uniform_valuations", counted)
-    analysis = fibration.analyze_k3(model)
+    analysis = fibration.analyze_k3(model, NS_RANK)
     assert calls == moduli
     assert [(r.kodaira, r.count) for r in analysis.fibers if r.place != "inf"] == \
         ([("I1", 24)] if model is GENERIC else [("I0*", 1), ("I1", 16)])

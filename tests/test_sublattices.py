@@ -20,7 +20,6 @@ from k3lattices.sublattices import (
     GlueSolution,
     Sublattice,
     enumerate_even_overlattices,
-    full_sublattice,
     half_sum_search,
     is_primitive,
     orthogonal_complement,
@@ -54,9 +53,10 @@ def test_complement_of_summand():
     back = orthogonal_complement(comp)
     assert sublattice_index(back, u_part) == 1
 
-    assert orthogonal_complement(full_sublattice(amb)).rank == 0
+    assert orthogonal_complement(Sublattice(amb, IntMatrix.identity(amb.rank))).rank == 0
     with pytest.raises(ValueError):
-        orthogonal_complement(full_sublattice(Lattice(IntMatrix.zeros(2, 2))))
+        orthogonal_complement(Sublattice(Lattice(IntMatrix.zeros(2, 2)),
+                                          IntMatrix.identity(2)))
 
 
 def test_is_primitive():
@@ -89,7 +89,7 @@ def test_is_primitive_agrees_with_index_of_closure():
 
 def test_sublattice_index_values():
     grid = Lattice(IntMatrix.from_rows([[2, 0], [0, 2]]))
-    full = full_sublattice(grid)
+    full = Sublattice(grid, IntMatrix.identity(grid.rank))
     assert sublattice_index(full, full) == 1
     small = Sublattice(grid, IntMatrix.from_rows([[2, 0], [0, 3]]))
     assert sublattice_index(full, small) == 6
