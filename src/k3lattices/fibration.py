@@ -527,6 +527,8 @@ def weierstrass_from_data(data) -> WeierstrassModel:
     if not isinstance(data, dict) or "a6" not in data:
         raise ValueError("Weierstrass JSON needs a6 and one of a4, a4_cubed")
     label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError("label must be a string")
     a6 = _poly_from_json(data["a6"])
     if ("a4" in data) == ("a4_cubed" in data):
         raise ValueError("give exactly one of a4 and a4_cubed")

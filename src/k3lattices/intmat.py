@@ -13,8 +13,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-RationalVector = tuple[Fraction, ...]
-
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
@@ -285,7 +283,7 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_rational(m: IntMatrix, rhs: Sequence[Fraction | int]) -> RationalVector | NoSolution:
+def solve_rational(m: IntMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | NoSolution:
     """Solve m @ x = rhs over the rationals.
 
     Returns one exact solution (free variables set to 0), or NO_SOLUTION

@@ -16,10 +16,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from operator import mul
 from typing import Sequence
 
-from .intmat import IntMatrix, RationalVector, det_exact, mat_vec, smith_normal_form
+from .intmat import IntMatrix, det_exact, mat_vec, smith_normal_form
+
+MAX_RANK = 26
+"""Largest rank make_named and lattice_from_json build.  The normal forms
+are not yet bounded by the determinant, and their cost grows steeply with
+the rank: on a shared 2-vCPU VM (CPython 3.11), lattice-info takes 11 s on
+A480 and 81 s on A960, and on random even Gram files 0.46 s at rank 26,
+11.9 s at rank 28 and 46 s at rank 32."""
 
 
 @dataclass(frozen=True)
@@ -58,41 +65,30 @@ class Lattice:
     def is_even(self) -> bool:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
 
-    def pairing(self, v: Sequence[Fraction | int], w: Sequence[Fraction | int]) -> Fraction:
-        """Bilinear form extended to rational coordinate vectors.
-
-        Each vector is scaled to integers once, by the lcm of its
-        denominators, so the sum runs over ints and one Fraction is built.
-        """
+    def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
+        """Bilinear form on integer coordinate vectors."""
         if len(v) != self.rank or len(w) != self.rank:
             raise ValueError("vector length does not match the rank")
-        (iv, qv), (iw, qw) = clear_denominators(v), clear_denominators(w)
-        return Fraction(sum(a * b for a, b in zip(iv, mat_vec(self.gram, iw))), qv * qw)
-
-
-def clear_denominators(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """(q*v, q) for the least positive q making q*v integral."""
-    q = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (q // x.denominator) for x in v], q
+        return sum(map(mul, v, mat_vec(self.gram, w)))
 
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
     """Dual quotient of a nondegenerate lattice, with its bilinear form.
 
-    Elements are coefficient tuples c against the generators, which are
-    rational coordinate vectors in the lattice basis; the i-th generator
-    has order invariant_factors[i].  exponent is the lcm of the invariant
+    Elements are coefficient tuples c against the generators; the i-th
+    generator is column i of the integer matrix numerators divided by
+    invariant_factors[i], its order.  exponent is the lcm of the invariant
     factors (1 for the trivial group), and gram is the integer matrix
     exponent * b(g_i, g_j), so the forms on coefficient tuples need only
     integer arithmetic: q(c) is the discriminant quadratic form
     c^T gram c / exponent reduced into [0, 2), order_of(c) is the least
-    k >= 1 with k*c = 0, and vector(c) is sum c_i g_i as a rational
-    coordinate vector.  qvalues[i] is q on the i-th generator.
+    k >= 1 with k*c = 0, and vector(c) is sum c_i g_i as an integer vector
+    over its least denominator.  qvalues[i] is q on the i-th generator.
     """
 
     invariant_factors: tuple[int, ...]
-    generators: tuple[RationalVector, ...]
+    numerators: IntMatrix
     gram: IntMatrix
 
     @property
@@ -109,10 +105,6 @@ class DiscriminantGroup:
         return tuple([Fraction(self.gram[i, i] % (2 * e), e)
                       for i in range(len(self.invariant_factors))])
 
-    def elements(self):
-        """All group elements as coefficient tuples against the generators."""
-        return product(*(range(d) for d in self.invariant_factors))
-
     def q(self, coeffs: Sequence[int]) -> Fraction:
         e = self.exponent
         value = sum(c * x for c, x in zip(coeffs, mat_vec(self.gram, coeffs)))
@@ -122,9 +114,13 @@ class DiscriminantGroup:
         return math.lcm(*(d // math.gcd(c, d)
                           for c, d in zip(coeffs, self.invariant_factors)))
 
-    def vector(self, coeffs: Sequence[int]) -> RationalVector:
-        return tuple([sum(c * x for c, x in zip(coeffs, xs))
-                      for xs in zip(*self.generators)])
+    def vector(self, coeffs: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(v, q) with q > 0 least such that v = q * sum c_i g_i is integral."""
+        e = self.exponent
+        v = mat_vec(self.numerators,
+                    [c * (e // d) for c, d in zip(coeffs, self.invariant_factors)])
+        g = math.gcd(e, *v)
+        return tuple([x // g for x in v]), e // g
 
 
 _NAME_RE = re.compile(r"^([ADEUZK])\(?(-?\d+)?\)?$")
@@ -141,7 +137,11 @@ def make_named(name: str) -> Lattice:
     if not all(parts):
         raise ValueError(f"unknown lattice {name!r}")
     if len(parts) > 1:
-        return direct_sum(*[make_named(p) for p in parts])
+        summands = [make_named(p) for p in parts]
+        rank = sum(p.rank for p in summands)
+        if rank > MAX_RANK:
+            raise ValueError(f"total rank {rank} is above {MAX_RANK}")
+        return direct_sum(*summands)
     name = parts[0]
     m = _NAME_RE.match(name)
     if not m:
@@ -166,6 +166,8 @@ def make_named(name: str) -> Lattice:
 
     if n is None:
         raise ValueError(f"{family} needs a rank parameter")
+    if n > MAX_RANK:
+        raise ValueError(f"rank {n} is above {MAX_RANK}")
     if family == "A":
         if n < 1:
             raise ValueError("A(n) requires n >= 1")
@@ -249,18 +251,17 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
     d, _left, right = smith_normal_form(l.gram)
     kept = [i for i, di in enumerate(d) if di != 1]
     factors = tuple([d[i] for i in kept])
-    gens = tuple([tuple([Fraction(right[k, i], d[i]) for k in range(l.rank)])
-                  for i in kept])
+    numerators = IntMatrix.from_rows([[row[i] for i in kept] for row in right.entries],
+                                     cols=len(kept))
     # left @ gram @ right = diag(d) makes column j of gram @ right a multiple
     # of d[j], so b(g_i, g_j) has denominator dividing min(d_i, d_j) and
     # these divisions by d_i * d_j are exact
-    cols = IntMatrix.from_rows([right.col(i) for i in kept], cols=l.rank)
-    inner = cols @ l.gram @ cols.transpose()
+    inner = numerators.transpose() @ l.gram @ numerators
     e = math.lcm(*factors)
     gram = IntMatrix.from_rows(
         [[e * inner[i, j] // (di * dj) for j, dj in enumerate(factors)]
          for i, di in enumerate(factors)], cols=len(factors))
-    group = DiscriminantGroup(factors, gens, gram)
+    group = DiscriminantGroup(factors, numerators, gram)
     if group.order != abs(l.det):
         raise AssertionError("group order disagrees with the determinant")
     return group
@@ -284,5 +285,9 @@ def lattice_from_json(text: str) -> Lattice:
             or not all(isinstance(r, list) and all(type(x) is int for x in r)
                        for r in gram)):
         raise ValueError("'gram' must be a list of integer rows")
-    n = len(gram)
-    return Lattice(IntMatrix.from_rows(gram, cols=n), str(data.get("label", "")))
+    if len(gram) > MAX_RANK:
+        raise ValueError(f"'gram' has more than {MAX_RANK} rows")
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError("label must be a string")
+    return Lattice(IntMatrix.from_rows(gram, cols=len(gram)), label)

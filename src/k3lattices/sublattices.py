@@ -1,8 +1,8 @@
 """Sublattices of a fixed ambient lattice and finite-index glue.
 
 Each Sublattice keeps the one Smith form of its generator matrix;
-primitivity, indices, the half-integral generator sums and the glue of
-a primitive corank-1 sublattice are all read off it.  Also covers
+primitivity, the half-integral generator sums and the glue of a
+primitive corank-1 sublattice are all read off it.  Also covers
 orthogonal complements and the enumeration of even overlattices
 obtained by adjoining a single glue vector.
 """
@@ -10,19 +10,12 @@ obtained by adjoining a single glue vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from math import gcd, prod
 
-from .intmat import (
-    IntMatrix,
-    RationalVector,
-    det_exact,
-    hermite_normal_form,
-    integer_kernel,
-    mat_vec,
-    smith_normal_form,
-)
-from .lattices import Lattice, clear_denominators, discriminant_group
+from .intmat import IntMatrix, hermite_normal_form, integer_kernel, mat_vec, smith_normal_form
+from .lattices import Lattice, discriminant_group
 
 
 @dataclass(frozen=True)
@@ -67,25 +60,6 @@ def is_primitive(s: Sublattice) -> bool:
     """Whether s is saturated in its ambient lattice."""
     # the columns are independent, so s is saturated iff every invariant factor is 1
     return all(x == 1 for x in s.smith[0])
-
-
-def sublattice_index(big: Sublattice, small: Sublattice) -> int:
-    """Group index [big : small] of a subgroup small of big of equal rank.
-
-    With left @ big.coords @ right == diag(d), small = big @ right @ z,
-    where row i of z is row i of left @ small.coords divided by d[i], so
-    the index is |det z|.  Anything else is rejected.
-    """
-    if big.ambient.gram != small.ambient.gram:
-        raise ValueError("sublattices live in different ambient lattices")
-    if big.rank != small.rank:
-        raise ValueError("sublattices of different rank have no finite index")
-    d, left, _ = big.smith
-    y = (left @ small.coords).entries
-    if any(x % di for row, di in zip(y, d) for x in row) or any(map(any, y[len(d):])):
-        raise ValueError("small is not a subgroup of big")
-    return abs(det_exact(IntMatrix.from_rows([[x // di for x in row] for row, di in zip(y, d)],
-                                             cols=small.rank)))
 
 
 def half_sum_search(s: Sublattice) -> list[tuple[int, ...]]:
@@ -194,12 +168,13 @@ def _glue_vector(H: list[int], delta: Sublattice, weights: tuple[int, ...] | lis
 class Overlattice:
     """A finite-index even overlattice, with the adjoined glue vector.
 
-    The rows of scaled are scale times the overlattice basis, in the
-    coordinates of the base lattice; gram is its (integer, even) Gram
-    matrix.
+    The adjoined vector is glue / scale, with glue an integer vector in the
+    coordinates of the base lattice.  The rows of scaled are scale times
+    the overlattice basis in the same coordinates; gram is its (integer,
+    even) Gram matrix.
     """
 
-    glue: RationalVector
+    glue: tuple[int, ...]
     scaled: IntMatrix
     scale: int
     gram: IntMatrix
@@ -215,60 +190,55 @@ class Overlattice:
 def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
     """Even overlattices N of m with cyclic quotient N/m of the given order.
 
-    Walks the discriminant group exhaustively, in sorted coefficient order,
-    for elements of the given order with q = 0 mod 2, testing both on
-    coefficient tuples; the first such element of each cyclic subgroup is
-    its glue vector, one overlattice per subgroup.  Each overlattice Gram
-    is the integer product of the scaled Hermite basis with m's Gram,
-    divided exactly by the square of the scale.
+    Walks the elements c of the discriminant group with index * c = 0, in
+    sorted coefficient order, for those of the given order with q = 0
+    mod 2, testing both on coefficient tuples; the first such element of
+    each cyclic subgroup is its glue vector, one overlattice per subgroup.
+    At most 2048 elements are walked.  Each overlattice Gram is the
+    integer product of the scaled Hermite basis with m's Gram, divided
+    exactly by the square of the scale.
     """
     if index < 1:
         raise ValueError("index must be positive")
     if not m.is_even or m.det == 0:
         raise ValueError("overlattice search needs a nondegenerate even lattice")
-    if index == 1:
-        return [Overlattice((Fraction(0),) * m.rank, IntMatrix.identity(m.rank), 1, m.gram, 1)]
     group = discriminant_group(m)
-    if group.order > 2048:
-        raise ValueError("discriminant group too large for exhaustive search")
-
     factors = group.invariant_factors
-    seen_subgroups = []
+    # c_i * index = 0 mod d_i exactly for the multiples of d_i / gcd(d_i, index)
+    if prod(gcd(d, index) for d in factors) > 2048:
+        raise ValueError("more than 2048 elements of the discriminant group to search")
+
+    seen = set()
     results = []
-    for coeffs in sorted(group.elements()):
-        if group.order_of(coeffs) != index or group.q(coeffs) != 0:
+    for coeffs in product(*(range(0, d, d // gcd(d, index)) for d in factors)):
+        if coeffs in seen or group.order_of(coeffs) != index or group.q(coeffs) != 0:
             continue
-        subgroup = frozenset(
-            tuple([k * c % dd for c, dd in zip(coeffs, factors)])
-            for k in range(index))
-        if subgroup in seen_subgroups:
-            continue
-        seen_subgroups.append(subgroup)
-        vec = group.vector(coeffs)
-        scaled, q = _adjoin(m, vec)
-        product = scaled @ m.gram @ scaled.transpose()
-        if any(x % (q * q) for row in product.entries for x in row):
+        seen.update(tuple([k * c % d for c, d in zip(coeffs, factors)])
+                    for k in range(index))
+        glue, q = group.vector(coeffs)
+        scaled = _adjoin(m, glue, q)
+        form = scaled @ m.gram @ scaled.transpose()
+        if any(x % (q * q) for row in form.entries for x in row):
             raise AssertionError("overlattice Gram is not integral")
         gram = IntMatrix.from_rows(
-            [[x // (q * q) for x in row] for row in product.entries], cols=m.rank)
+            [[x // (q * q) for x in row] for row in form.entries], cols=m.rank)
         for i in range(m.rank):
             if gram[i, i] % 2:
                 raise AssertionError("overlattice is not even")
         over = Lattice(gram)
         if abs(m.det) != index * index * abs(over.det):
             raise AssertionError("determinant identity fails")
-        results.append(Overlattice(vec, scaled, q, gram, index))
+        results.append(Overlattice(glue, scaled, q, gram, index))
     return results
 
 
-def _adjoin(m: Lattice, vec: RationalVector) -> tuple[IntMatrix, int]:
-    """Basis of m + Z*vec in m's coordinates as (q * basis rows, q).
+def _adjoin(m: Lattice, glue: tuple[int, ...], q: int) -> IntMatrix:
+    """Basis of m + Z*(glue/q) in m's coordinates, as q times the basis rows.
 
     The rows come from the Hermite form of q times the identity stacked on
-    q*vec, where q is the least common denominator of vec.
+    glue.
     """
-    scaled_vec, q = clear_denominators(vec)
     rows = [[q if i == j else 0 for j in range(m.rank)] for i in range(m.rank)]
-    rows.append(scaled_vec)
+    rows.append(glue)
     h, _ = hermite_normal_form(IntMatrix.from_rows(rows, cols=m.rank))
-    return IntMatrix.from_rows(h.entries[:m.rank], cols=m.rank), q
+    return IntMatrix.from_rows(h.entries[:m.rank], cols=m.rank)

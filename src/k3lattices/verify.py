@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .intmat import NO_SOLUTION, IntMatrix, det_exact, solve_smith
@@ -85,16 +84,17 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _mirror(vector: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _mirror(vector: tuple[int, ...]) -> tuple[int, ...]:
     # the Dynkin involution of the A15 summand; the rank-1 slot stays put
     return tuple([vector[14 - i] for i in range(15)]) + (vector[15],)
 
-def _overlattice_contains(over: Overlattice, vector: tuple[Fraction, ...]) -> bool:
-    # v is in the overlattice iff scale * v is an integer combination of the scaled rows
-    scaled = [x * over.scale for x in vector]
-    if any(x.denominator != 1 for x in scaled):
+def _overlattice_contains(over: Overlattice, glue: tuple[int, ...], scale: int) -> bool:
+    # glue/scale is in the overlattice iff over.scale * glue/scale is an
+    # integer combination of the scaled rows
+    scaled = [x * over.scale for x in glue]
+    if any(x % scale for x in scaled):
         return False
-    return solve_smith(over.smith, [int(x) for x in scaled]) is not NO_SOLUTION
+    return solve_smith(over.smith, [x // scale for x in scaled]) is not NO_SOLUTION
 
 
 def run_verification(perturb: bool = False) -> VerificationReport:
@@ -193,10 +193,10 @@ def run_verification(perturb: bool = False) -> VerificationReport:
     swapped = False
     if len(pair) == 2:
         one, two = pair
-        swapped = (_overlattice_contains(two, _mirror(one.glue))
-                   and _overlattice_contains(one, _mirror(two.glue))
-                   and not _overlattice_contains(one, _mirror(one.glue))
-                   and not _overlattice_contains(two, _mirror(two.glue)))
+        swapped = (_overlattice_contains(two, _mirror(one.glue), one.scale)
+                   and _overlattice_contains(one, _mirror(two.glue), two.scale)
+                   and not _overlattice_contains(one, _mirror(one.glue), one.scale)
+                   and not _overlattice_contains(two, _mirror(two.glue), two.scale))
     even_dets = all(o.index == 16 and abs(det_exact(o.gram)) == 7 for o in pair)
     add("09-overlattices",
         "A15 + Z(112) has exactly two even index-16 overlattices, swapped by "

@@ -7,7 +7,7 @@ shares code with the package, so agreement is meaningful evidence.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def cofactor_det(rows):
@@ -138,6 +138,34 @@ def gram_form(rows, v, w):
     """v^T G w for rational vectors, one Fraction product per term."""
     return sum(Fraction(v[i]) * rows[i][j] * Fraction(w[j])
                for i in range(len(rows)) for j in range(len(rows)))
+
+
+def overlattice_glue_walk(rows, factors, generators, index):
+    """Glue vectors of the even overlattices of index `index` over the lattice
+    with Gram rows, one per cyclic subgroup of the discriminant group.
+    Walks every group element in sorted coefficient order, finds its order
+    by trying k = 1, 2, ..., builds its vector and norm as Fractions (the
+    norm over the nonzero Gram entries), and keeps the first element of
+    each subgroup of that order with norm 0 mod 2.  generators[i] is the
+    i-th generator as a rational vector, of order factors[i]."""
+    seen, glue = [], []
+    for coeffs in product(*(range(d) for d in factors)):
+        order = next(k for k in range(1, math.prod(factors) + 1)
+                     if all(k * c % d == 0 for c, d in zip(coeffs, factors)))
+        if order != index:
+            continue
+        v = tuple(sum((c * g[k] for c, g in zip(coeffs, generators)), Fraction(0))
+                  for k in range(len(rows)))
+        norm = sum(v[i] * x * v[j] for i, row in enumerate(rows)
+                   for j, x in enumerate(row) if x)
+        if norm % 2 != 0:
+            continue
+        subgroup = frozenset(tuple(k * c % d for c, d in zip(coeffs, factors))
+                             for k in range(index))
+        if subgroup not in seen:
+            seen.append(subgroup)
+            glue.append(v)
+    return glue
 
 
 def _trim(coeffs):

@@ -6,6 +6,7 @@ oracles.py wherever one exists.
 """
 
 from contextlib import contextmanager
+from fractions import Fraction
 
 from k3lattices.cli import main
 from k3lattices.fibration import analyze_k3
@@ -139,8 +140,8 @@ def _mirror(vector):
     return tuple(vector[14 - i] for i in range(15)) + (vector[15],)
 
 
-def _contains(over, vector):
-    scaled = [x * over.scale for x in vector]
+def _contains(over, glue, scale):
+    scaled = [Fraction(x * over.scale, scale) for x in glue]
     if any(x.denominator != 1 for x in scaled):
         return False
     solution = solve_rational(over.scaled.transpose(), scaled)
@@ -159,10 +160,10 @@ def test_c09_overlattice_enumeration():
         for over in pair:
             assert abs(det_exact(over.gram)) == \
                 abs(base.det) // (over.index ** 2)
-        assert _contains(two, _mirror(one.glue))
-        assert _contains(one, _mirror(two.glue))
-        assert not _contains(one, _mirror(one.glue))
-        assert not _contains(two, _mirror(two.glue))
+        assert _contains(two, _mirror(one.glue), one.scale)
+        assert _contains(one, _mirror(two.glue), two.scale)
+        assert not _contains(one, _mirror(one.glue), one.scale)
+        assert not _contains(two, _mirror(two.glue), two.scale)
 
 
 def test_c10_fixed_locus_table():

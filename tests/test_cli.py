@@ -86,6 +86,38 @@ def test_lattice_info_rejects_boolean_entries(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["A99999999", "D27", "A13 + A14", "A1 + A99999999"])
+def test_lattice_info_rank_above_the_cap_is_bad_input(capsys, name):
+    code, out, err = run(capsys, "lattice-info", name)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "above 26" in err
+
+
+def test_lattice_info_rank_26_is_answered(capsys, tmp_path):
+    code, out, _ = run(capsys, "lattice-info", "A13 + A13", "--json")
+    assert code == 0 and json.loads(out)["rank"] == "26"
+    path = tmp_path / "rank27.json"
+    path.write_text(json.dumps({"gram": [[2 if i == j else 0 for j in range(27)]
+                                         for i in range(27)]}))
+    code, out, err = run(capsys, "lattice-info", str(path))
+    assert code == 2
+    assert err == "error: 'gram' has more than 26 rows\n"
+
+
+@pytest.mark.parametrize("label", [None, 5, [1, 2]], ids=["null", "number", "list"])
+@pytest.mark.parametrize("command, data", [
+    ("lattice-info", {"gram": [[2]]}),
+    ("fibration", {"a4": [0, 0, 0, 1], "a6": [0, 0, 0, 0, 0, 0, 0, 0, 1]}),
+], ids=["lattice", "weierstrass"])
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_non_string_label_is_bad_input(capsys, tmp_path, label, command, data, as_json):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({"label": label, **data}))
+    code, out, err = run(capsys, command, str(path), *(["--json"] if as_json else []))
+    assert (code, out, err) == (2, "", "error: label must be a string\n")
+
+
 # --- fibration ----------------------------------------------------------------
 
 def test_fibration_first_builtin(capsys):

@@ -164,11 +164,12 @@ def test_qvalue_stable_under_lattice_shifts():
     rng = random.Random(29)
     for name in ("A15", "K7"):
         l = make_named(name)
-        gen = discriminant_group(l).generators[0]
-        base = l.pairing(gen, gen) % 2
+        group = discriminant_group(l)
+        gen, d = group.numerators.col(0), group.invariant_factors[0]
+        base = Fraction(l.pairing(gen, gen), d * d) % 2
         for _ in range(20):
-            shifted = [g + rng.randint(-3, 3) for g in gen]
-            assert l.pairing(shifted, shifted) % 2 == base
+            shifted = [g + d * rng.randint(-3, 3) for g in gen]
+            assert Fraction(l.pairing(shifted, shifted), d * d) % 2 == base
 
 
 def test_lattice_json_roundtrip():

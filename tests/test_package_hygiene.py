@@ -71,6 +71,16 @@ def test_no_tuple_of_a_generator(path):
                 f"{path.name}:{node.lineno}"
 
 
+@pytest.mark.parametrize("name", ["sublattices.py", "verify.py"])
+def test_no_fractions_on_the_overlattice_path(name):
+    # glue and discriminant generators are integer vectors over one denominator
+    for node in ast.walk(tree(PACKAGE / name)):
+        if isinstance(node, ast.Import):
+            assert "fractions" not in [alias.name for alias in node.names], name
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions", name
+
+
 def _exported(module):
     """The strings listed in a module-level __all__."""
     for node in module.body:

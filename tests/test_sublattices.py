@@ -24,7 +24,6 @@ from k3lattices.sublattices import (
     is_primitive,
     orthogonal_complement,
     solve_glue,
-    sublattice_index,
 )
 
 from oracles import gauss_det, half_integral_subsets, minor_gcd
@@ -51,7 +50,8 @@ def test_complement_of_summand():
     assert comp.induced_gram() == make_named("E8").gram
     # complement twice returns the original span
     back = orthogonal_complement(comp)
-    assert sublattice_index(back, u_part) == 1
+    assert hermite_normal_form(back.coords.transpose())[0] == \
+        hermite_normal_form(u_part.coords.transpose())[0]
 
     assert orthogonal_complement(Sublattice(amb, IntMatrix.identity(amb.rank))).rank == 0
     with pytest.raises(ValueError):
@@ -85,22 +85,6 @@ def test_is_primitive_agrees_with_index_of_closure():
         assert prim == (minor_gcd(coords.to_lists(), k) == 1)
         seen.add(prim)
     assert seen == {True, False}
-
-
-def test_sublattice_index_values():
-    grid = Lattice(IntMatrix.from_rows([[2, 0], [0, 2]]))
-    full = Sublattice(grid, IntMatrix.identity(grid.rank))
-    assert sublattice_index(full, full) == 1
-    small = Sublattice(grid, IntMatrix.from_rows([[2, 0], [0, 3]]))
-    assert sublattice_index(full, small) == 6
-    line = Sublattice(grid, IntMatrix.from_rows([[1], [0]]))
-    with pytest.raises(ValueError, match="different rank"):
-        sublattice_index(full, line)
-    with pytest.raises(ValueError):
-        sublattice_index(small, full)
-    other = Sublattice(grid, IntMatrix.from_rows([[0], [1]]))
-    with pytest.raises(ValueError):
-        sublattice_index(line, other)
 
 
 def test_half_sum_single_class_is_empty():
@@ -306,11 +290,23 @@ def test_overlattice_guards():
     with pytest.raises(ValueError):
         enumerate_even_overlattices(Lattice(IntMatrix.from_rows([[3]])), 2)
     with pytest.raises(ValueError):
-        enumerate_even_overlattices(make_named("Z(4096)"), 2)
+        enumerate_even_overlattices(make_named("A2"), 0)
+    with pytest.raises(ValueError):
+        enumerate_even_overlattices(Lattice(IntMatrix.zeros(2, 2)), 2)
 
 
-def in_overlattice(over, vec):
-    target = [Fraction(v) * over.scale for v in vec]
+def test_walk_bound_counts_only_the_index_torsion():
+    # A1^12 has 4096 elements killed by 2; Z(4096) has 4096 elements, two
+    # of them killed by 2
+    with pytest.raises(ValueError, match="2048"):
+        enumerate_even_overlattices(make_named(" + ".join(["A1"] * 12)), 2)
+    [over] = enumerate_even_overlattices(make_named("Z(4096)"), 2)
+    assert over.gram == IntMatrix.from_rows([[1024]])
+    assert (over.glue, over.scale) == ((1,), 2)
+
+
+def in_overlattice(over, glue, scale):
+    target = [Fraction(x * over.scale, scale) for x in glue]
     sol = solve_rational(over.scaled.transpose(), target)
     return sol is not NO_SOLUTION and all(x.denominator == 1 for x in sol)
 
@@ -330,7 +326,7 @@ def test_chain15_plus_line_overlattices():
     perm[:15] = [14 - i for i in range(15)]
     first, second = results
     mirrored = tuple(first.glue[perm[i]] for i in range(16))
-    assert in_overlattice(second, mirrored)
-    assert not in_overlattice(first, mirrored)
+    assert in_overlattice(second, mirrored, first.scale)
+    assert not in_overlattice(first, mirrored, first.scale)
     mirrored2 = tuple(second.glue[perm[i]] for i in range(16))
-    assert in_overlattice(first, mirrored2)
+    assert in_overlattice(first, mirrored2, second.scale)
