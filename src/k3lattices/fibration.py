@@ -545,6 +545,12 @@ def _json_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def _json_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string")
+    return value
+
+
 def fiber_specs_from_json(data) -> tuple[tuple[FiberSpec, ...], int]:
     """Fiber specs and Mordell-Weil rank of decoded fibration JSON, any Euler sum."""
     if not isinstance(data, dict) or "fibers" not in data or "mw_rank" not in data:
@@ -555,11 +561,14 @@ def fiber_specs_from_json(data) -> tuple[tuple[FiberSpec, ...], int]:
     for entry in data["fibers"]:
         if not isinstance(entry, dict) or "place" not in entry or "type" not in entry:
             raise ValueError("each fiber needs place and type")
+        components = entry.get("components", [])
+        if not isinstance(components, list):
+            raise ValueError("components must form a list")
         specs.append(FiberSpec(
-            place=str(entry["place"]),
-            kodaira=str(entry["type"]),
-            identity=str(entry.get("identity", "")),
-            components=tuple([str(c) for c in entry.get("components", ())]),
+            place=_json_str(entry["place"], "place"),
+            kodaira=_json_str(entry["type"], "type"),
+            identity=_json_str(entry.get("identity", ""), "identity"),
+            components=tuple([_json_str(c, "each component") for c in components]),
             count=_json_int(entry.get("count", 1), "count"),
         ))
     return tuple(specs), _json_int(data["mw_rank"], "mw_rank")

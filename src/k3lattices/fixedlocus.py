@@ -127,96 +127,58 @@ def walk_chain(edges: Iterable[tuple[str, str]], fixed: Iterable[str]) -> ChainW
     """Propagate local exponents over a configuration of stable curves.
 
     edges are unordered pairs of intersecting curves; fixed lists the
-    pointwise fixed ones.  Inconsistencies are collected as conflict
-    messages rather than raised, since an inconsistent walk is the
-    expected outcome for impossible fixed-curve placements.
+    pointwise fixed ones.  Each curve carries one exponent x: 0 on a
+    fixed curve, otherwise its exponent at its first intersection in
+    sorted edge order, and -x at its other fixed point.  The walk runs
+    breadth-first from the fixed curves.  Inconsistencies are collected
+    as conflict messages rather than raised, since an inconsistent walk
+    is the expected outcome for impossible fixed-curve placements.
     """
     edge_list = sorted({tuple(sorted(e)) for e in edges})
     fixed_set = frozenset(fixed)
-    names = set(fixed_set)
-    for a, b in edge_list:
-        if a == b:
-            raise ValueError(f"curve {a} cannot intersect itself here")
-        names.update((a, b))
-
-    incident: dict[str, list[tuple[str, str]]] = {c: [] for c in sorted(names)}
+    incident: dict[str, list[tuple[str, str]]] = {c: [] for c in fixed_set}
     for edge in edge_list:
+        if edge[0] == edge[1]:
+            raise ValueError(f"curve {edge[0]} cannot intersect itself here")
         for c in edge:
-            incident[c].append(edge)
+            incident.setdefault(c, []).append(edge)
 
-    conflicts: list[str] = []
-    slots: dict[str, list[tuple]] = {}
-    for c, touching in incident.items():
-        if c in fixed_set:
-            slots[c] = list(touching)
-            continue
-        if len(touching) > 2:
-            conflicts.append(f"{c} is not fixed yet carries {len(touching)} "
-                             "fixed points")
-            slots[c] = list(touching)
-            continue
-        free = [("free", c, k) for k in range(2 - len(touching))]
-        slots[c] = list(touching) + free
+    expo = dict.fromkeys(fixed_set, 0)
 
-    # exponent along each curve at each of its points
-    expo: dict[tuple[str, tuple], int] = {}
-    stack: list[tuple[str, tuple, int]] = []
-    for c in sorted(fixed_set):
-        for slot in slots.get(c, ()):
-            stack.append((c, slot, 0))
+    def at(c: str, edge: tuple[str, str]) -> int:
+        return expo[c] if incident[c][0] == edge else -expo[c] % ORDER
 
-    def record(curve, slot, value):
-        value %= ORDER
-        key = (curve, slot)
-        if key in expo:
-            if expo[key] != value:
-                conflicts.append(f"{curve} gets exponents {expo[key]} and "
-                                 f"{value} at {slot}")
-            return
-        if curve in fixed_set and value != 0:
-            conflicts.append(f"fixed curve {curve} gets exponent {value} at {slot}")
-            return
-        if curve not in fixed_set and value == 0:
-            conflicts.append(f"{curve} gets exponent 0 at {slot} but is not "
-                             "pointwise fixed")
-            return
-        expo[key] = value
-        if len(slot) == 2:
-            other = slot[1] if slot[0] == curve else slot[0]
-            stack.append((other, slot, 1 - value))
-        if curve not in fixed_set:
-            pair = slots[curve]
-            if len(pair) == 2:
-                partner = pair[1] if slot == pair[0] else pair[0]
-                stack.append((curve, partner, -value))
+    conflicts = [f"{c} is not fixed yet carries {len(touching)} fixed points"
+                 for c, touching in sorted(incident.items())
+                 if c not in fixed_set and len(touching) > 2]
+    walked = sorted(fixed_set)
+    for c in walked:
+        for edge in incident[c]:
+            d = edge[1] if edge[0] == c else edge[0]
+            if d not in expo:
+                # the exponents of two curves at their common point sum to 1
+                value = 1 - at(c, edge)
+                expo[d] = value % ORDER if incident[d][0] == edge else -value % ORDER
+                walked.append(d)
 
-    while stack:
-        record(*stack.pop())
-
-    unreached = sorted({c for c, cslots in slots.items()
-                        for slot in cslots if (c, slot) not in expo})
+    points = []
+    for edge in edge_list:
+        if edge[0] in expo:
+            pair = tuple(sorted((at(edge[0], edge), at(edge[1], edge))))
+            if sum(pair) % ORDER != 1:
+                conflicts.append(f"the exponents of {edge} do not sum to 1")
+            points.append(FixedPoint(edge, pair))
+    for c in walked[len(fixed_set):]:
+        free = -expo[c] % ORDER
+        if free == 0:
+            conflicts.append(f"{c} gets exponent 0 but is not pointwise fixed")
+        elif len(incident[c]) == 1:
+            if free == 1:
+                conflicts.append(f"free endpoint of {c} has exponent 1")
+            points.append(FixedPoint((c,), tuple(sorted((free, (1 - free) % ORDER)))))
+    unreached = sorted(set(incident) - set(expo))
     if unreached and not conflicts:
         conflicts.append("no exponent reaches " + ", ".join(unreached))
-
-    points: list[FixedPoint] = []
-    for edge in edge_list:
-        a, b = edge
-        ea, eb = expo.get((a, edge)), expo.get((b, edge))
-        if ea is None or eb is None:
-            continue
-        points.append(FixedPoint(edge, tuple(sorted((ea, eb)))))
-    for c, cslots in slots.items():
-        for slot in cslots:
-            if len(slot) != 3:
-                continue
-            value = expo.get((c, slot))
-            if value is None:
-                continue
-            if value in (0, 1):
-                conflicts.append(f"free endpoint of {c} has exponent {value}")
-                continue
-            points.append(FixedPoint((c,), tuple(sorted((value, (1 - value) % ORDER)))))
-
     points.sort(key=lambda p: p.curves)
     return ChainWalk(tuple(sorted(fixed_set)), tuple(points), tuple(conflicts))
 

@@ -46,12 +46,12 @@ class IntMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in matrix entries")
             for x in row:
-                if not isinstance(x, int):
+                if type(x) is not int:
                     raise TypeError(f"non-integer entry {x!r}")
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple([tuple([int(x) for x in row]) for row in rows])
+        data = tuple([tuple(row) for row in rows])
         if data:
             width = len(data[0])
         else:
@@ -327,14 +327,8 @@ def solve_integer(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | NoSolut
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match matrix rows")
-    return solve_smith(smith_normal_form(m), rhs)
-
-
-def solve_smith(smith: tuple[tuple[int, ...], IntMatrix, IntMatrix],
-                rhs: Sequence[int]) -> tuple[int, ...] | NoSolution:
-    """solve_integer for a matrix m given by its Smith form (d, left, right)."""
-    d, left, right = smith
-    z = [0] * right.rows
+    d, left, right = smith_normal_form(m)
+    z = [0] * m.cols
     for i, y in enumerate(mat_vec(left, rhs)):
         di = d[i] if i < len(d) else 0
         if di == 0 and y != 0 or di != 0 and y % di != 0:

@@ -180,12 +180,6 @@ class Overlattice:
     gram: IntMatrix
     index: int
 
-    @cached_property
-    def smith(self) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-        """The Smith form (d, left, right) of scaled.transpose(), whose
-        columns span scale times the overlattice."""
-        return smith_normal_form(self.scaled.transpose())
-
 
 def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
     """Even overlattices N of m with cyclic quotient N/m of the given order.

@@ -12,7 +12,7 @@ import datetime
 from dataclasses import dataclass
 
 from . import __version__
-from .intmat import NO_SOLUTION, IntMatrix, det_exact, solve_smith
+from .intmat import IntMatrix, det_exact
 from .lattices import Lattice, discriminant_group, make_named, signature
 from .fibration import analyze_k3
 from .fixedlocus import (
@@ -88,13 +88,14 @@ def _mirror(vector: tuple[int, ...]) -> tuple[int, ...]:
     # the Dynkin involution of the A15 summand; the rank-1 slot stays put
     return tuple([vector[14 - i] for i in range(15)]) + (vector[15],)
 
-def _overlattice_contains(over: Overlattice, glue: tuple[int, ...], scale: int) -> bool:
-    # glue/scale is in the overlattice iff over.scale * glue/scale is an
-    # integer combination of the scaled rows
-    scaled = [x * over.scale for x in glue]
-    if any(x % scale for x in scaled):
-        return False
-    return solve_smith(over.smith, [x // scale for x in scaled]) is not NO_SOLUTION
+
+def _overlattice_contains(over: Overlattice, vector: tuple[int, ...], scale: int) -> bool:
+    # over is m + Z*glue/over.scale with over/m of order index, so vector/scale
+    # is in over iff vector/scale - k*glue/over.scale is integral for some k < index
+    d = scale * over.scale
+    return any(all((x * over.scale - k * g * scale) % d == 0
+                   for x, g in zip(vector, over.glue))
+               for k in range(over.index))
 
 
 def run_verification(perturb: bool = False) -> VerificationReport:
@@ -158,14 +159,14 @@ def run_verification(perturb: bool = False) -> VerificationReport:
 
     chain_ok = True
     chain_values = {}
+    a15_gram = make_named("A15").gram
     for name in CHAINS:
         sub = chain_sublattice(name)
+        induces_a15 = sub.induced_gram() == a15_gram
         primitive = is_primitive(sub)
         half = half_sum_search(sub)
-        chain_ok &= sub.induced_gram() == make_named("A15").gram
-        chain_ok &= primitive and not half
-        chain_values[name] = f"A15={sub.induced_gram() == make_named('A15').gram} " \
-                             f"primitive={primitive} half_sums={len(half)}"
+        chain_ok &= induces_a15 and primitive and not half
+        chain_values[name] = f"A15={induces_a15} primitive={primitive} half_sums={len(half)}"
     add("07-chains",
         "both 15-chains induce A15 primitively, with no half-integral sums",
         chain_ok, chain_values)
@@ -180,11 +181,11 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         basis = IntMatrix.from_rows(
             [[chain_sublattice(name).coords[i, j] for j in range(15)] + [sol.h_plus[i]]
              for i in range(16)])
-        gram = basis.transpose() @ ns.lattice.gram @ basis
+        basis_det = det_exact(basis.transpose() @ ns.lattice.gram @ basis)
         glue_ok &= (sol.n == 16 and h_sq == 112 and 16 * h_sq == 7 * sol.n ** 2
                     and residues and a1 % 16 in (3, 13)
-                    and det_exact(gram) == ns.lattice.det)
-        glue_values[name] = f"n={sol.n} H^2={h_sq} a1={a1} basis_det={det_exact(gram)}"
+                    and basis_det == ns.lattice.det)
+        glue_values[name] = f"n={sol.n} H^2={h_sq} a1={a1} basis_det={basis_det}"
     add("08-glue",
         "index 16, H^2 = 112, 16 H^2 = 7 n^2, a_i = i a1, a1 = +-3 mod 16, "
         "h+ integral, {C_i, h+} spans", glue_ok, glue_values)
@@ -221,9 +222,8 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         "isolated points, 3 + 3 + 8 + 8 + 13 in total",
         table_ok, {"point_totals": totals})
 
-    lefschetz_ok = all(
-        lefschetz_check(fixed_locus_table(name), 22 - fixed_locus_table(name).rank)
-        for name in table_rows())
+    lefschetz_ok = all(lefschetz_check(profile, 22 - profile.rank)
+                       for profile in map(fixed_locus_table, table_rows()))
     add("11-lefschetz",
         "the fixed-locus Euler number equals 2 + r - (22 - r)/6 on every row",
         lefschetz_ok, {"rows": len(table_rows())})

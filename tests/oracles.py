@@ -348,3 +348,75 @@ def weierstrass_symbols(a4, a6):
         symbols["inf"] = tate_symbol(9 - len(a4) if a4 else None,
                                      13 - len(a6) if a6 else None, 25 - len(delta))
     return symbols
+
+
+def slot_walk(edges, fixed, order=7):
+    """The exponent walk kept per (curve, slot): the reference for walk_chain.
+
+    Every curve that is not pointwise fixed gets two slots, its edges
+    padded with free endpoints; each slot carries its own exponent, the
+    two slots of such a curve are tied by negation and the two ends of
+    an edge sum to 1 mod order.  Returns (consistent, fixed curves,
+    sorted (curves, exponents) of the points)."""
+    edge_list = sorted({tuple(sorted(e)) for e in edges})
+    fixed_set = frozenset(fixed)
+    names = set(fixed_set)
+    for a, b in edge_list:
+        if a == b:
+            raise ValueError(f"curve {a} cannot intersect itself here")
+        names.update((a, b))
+
+    incident = {c: [] for c in sorted(names)}
+    for edge in edge_list:
+        for c in edge:
+            incident[c].append(edge)
+
+    conflicts = []
+    slots = {}
+    for c, touching in incident.items():
+        if c in fixed_set or len(touching) > 2:
+            if c not in fixed_set:
+                conflicts.append(f"{c} carries {len(touching)} fixed points")
+            slots[c] = list(touching)
+            continue
+        slots[c] = list(touching) + [("free", c, k) for k in range(2 - len(touching))]
+
+    expo = {}
+    stack = [(c, slot, 0) for c in sorted(fixed_set) for slot in slots[c]]
+    while stack:
+        curve, slot, value = stack.pop()
+        value %= order
+        key = (curve, slot)
+        if key in expo:
+            if expo[key] != value:
+                conflicts.append(f"{curve} gets two exponents at {slot}")
+            continue
+        if (curve in fixed_set) != (value == 0):
+            conflicts.append(f"{curve} gets exponent {value} at {slot}")
+            continue
+        expo[key] = value
+        if len(slot) == 2:
+            other = slot[1] if slot[0] == curve else slot[0]
+            stack.append((other, slot, 1 - value))
+        if curve not in fixed_set and len(slots[curve]) == 2:
+            pair = slots[curve]
+            stack.append((curve, pair[1] if slot == pair[0] else pair[0], -value))
+
+    if any((c, slot) not in expo for c, cslots in slots.items() for slot in cslots):
+        conflicts.append("unreached slot")
+
+    points = []
+    for edge in edge_list:
+        a, b = edge
+        if (a, edge) in expo and (b, edge) in expo:
+            points.append((edge, tuple(sorted((expo[(a, edge)], expo[(b, edge)])))))
+    for c, cslots in slots.items():
+        for slot in cslots:
+            if len(slot) == 3 and (c, slot) in expo:
+                value = expo[(c, slot)]
+                if value in (0, 1):
+                    conflicts.append(f"free endpoint of {c} has exponent {value}")
+                    continue
+                points.append(((c,), tuple(sorted((value, (1 - value) % order)))))
+    points.sort(key=lambda p: p[0])
+    return not conflicts, tuple(sorted(fixed_set)), points

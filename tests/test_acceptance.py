@@ -7,6 +7,7 @@ oracles.py wherever one exists.
 
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 from k3lattices.cli import main
 from k3lattices.fibration import analyze_k3
@@ -19,7 +20,9 @@ from k3lattices.intmat import NO_SOLUTION, IntMatrix, det_exact, solve_rational
 from k3lattices.lattices import direct_sum, discriminant_group, make_named, \
     signature
 from k3lattices.polynomials import Poly
-from k3lattices.sublattices import half_sum_search, is_primitive
+from k3lattices.sublattices import enumerate_even_overlattices, half_sum_search, \
+    is_primitive
+from k3lattices.verify import _overlattice_contains
 
 from oracles import definiteness_sign, gauss_det, half_integral_subsets
 
@@ -165,6 +168,25 @@ def test_c09_overlattice_enumeration():
         assert not _contains(one, _mirror(one.glue), one.scale)
         assert not _contains(two, _mirror(two.glue), two.scale)
 
+
+
+def test_coset_membership_matches_the_fraction_oracle():
+    # every discriminant-group vector of a few direct sums, tested against
+    # every even overlattice of the given index over that sum
+    found = set()
+    for names, index in ((("A7",), 2), (("U(4)",), 4), (("D4", "D4"), 2),
+                         (("A1", "A7"), 4), (("U(6)",), 3), (("Z(16)", "U(2)"), 4)):
+        m = direct_sum(*(make_named(n) for n in names))
+        group = discriminant_group(m)
+        overlattices = enumerate_even_overlattices(m, index)
+        assert overlattices
+        for coeffs in product(*(range(d) for d in group.invariant_factors)):
+            v, q = group.vector(coeffs)
+            for over in overlattices:
+                inside = _overlattice_contains(over, v, q)
+                assert inside == _contains(over, v, q)
+                found.add(inside)
+    assert found == {True, False}
 
 def test_c10_fixed_locus_table():
     with criterion(10, "fixed-locus rows count (2,1,0), (2,1,0), (4,3,1), "

@@ -241,6 +241,31 @@ def test_fibration_rules_hold_at_any_euler_sum(capsys, tmp_path, fibers, mw, as_
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("fiber, name", [
+    ({"place": None, "type": "II*"}, "place"),
+    ({"place": [1], "type": "II*"}, "place"),
+    ({"place": "0", "type": 2}, "type"),
+    ({"place": "0", "type": "I2", "identity": 1, "components": ["1", "2"]}, "identity"),
+    ({"place": "0", "type": "I2", "identity": "1", "components": ["1", 2]},
+     "each component"),
+], ids=["null-place", "list-place", "number-type", "number-identity",
+        "number-component"])
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_non_string_fiber_field_is_bad_input(capsys, tmp_path, fiber, name, as_json):
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({"fibers": [fiber], "mw_rank": 0}))
+    code, out, err = run(capsys, "fibration", str(path), *(["--json"] if as_json else []))
+    assert (code, out, err) == (2, "", f"error: {name} must be a string\n")
+
+
+def test_fiber_components_must_form_a_list(capsys, tmp_path):
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({"fibers": [{"place": "0", "type": "I2", "identity": "a",
+                                            "components": "ab"}], "mw_rank": 0}))
+    code, out, err = run(capsys, "fibration", str(path))
+    assert (code, out, err) == (2, "", "error: components must form a list\n")
+
 @pytest.mark.parametrize("argv", [["lattice-info"], ["fibration"], ["fibration", "--json"]])
 def test_deeply_nested_json_is_bad_input(capsys, tmp_path, argv):
     path = tmp_path / "deep.json"

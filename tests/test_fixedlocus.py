@@ -1,6 +1,7 @@
 """Tests for the fixed-locus table and the exponent-walk engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3lattices.fixedlocus import (
     FixedLocusProfile,
@@ -13,6 +14,8 @@ from k3lattices.fixedlocus import (
     walk_chain,
 )
 from k3lattices.fixtures import WALK_FIXED, reference_curve_edges, reference_walk
+
+from oracles import slot_walk
 
 # the known placement of the thirteen isolated points on the reference
 # configuration, grouped by local exponent pair, listed by carrier curves
@@ -196,3 +199,41 @@ def test_fixed_pair_search_smaller_chains():
     # overhang, which forces the pair onto the boundary positions
     assert fixed_pair_search(8) == [(1, 8)]
     assert fixed_pair_search(2) == []
+
+
+# --- the per-curve walk against the per-slot reference ----------------------
+
+def assert_walk_matches_slot_walk(edges, fixed):
+    walk = walk_chain(edges, fixed)
+    consistent, fixed_curves, points = slot_walk(edges, fixed)
+    assert walk.consistent == consistent
+    assert walk.fixed_curves == fixed_curves
+    if consistent:
+        assert [(p.curves, p.exponents) for p in walk.points] == points
+    return consistent
+
+
+CURVES = [f"C{i}" for i in range(10)]
+
+
+@settings(deadline=None, max_examples=400)
+@given(edges=st.lists(st.tuples(st.sampled_from(CURVES), st.sampled_from(CURVES))
+                      .filter(lambda e: e[0] != e[1]), max_size=14),
+       fixed=st.lists(st.sampled_from(CURVES), max_size=4))
+def test_walk_matches_slot_walk_on_generated_graphs(edges, fixed):
+    assert_walk_matches_slot_walk(edges, fixed)
+
+
+def test_walk_matches_slot_walk_on_every_chain_pair_placement():
+    consistent = 0
+    for n in range(1, 22):
+        edges = linear_chain_edges(n)
+        for p in range(1, n + 1):
+            for q in range(p, n + 1):
+                fixed = {f"C{p}", f"C{q}"}
+                consistent += assert_walk_matches_slot_walk(edges, fixed)
+    assert consistent > 0
+
+
+def test_walk_matches_slot_walk_on_the_reference_configuration():
+    assert assert_walk_matches_slot_walk(WALK_EDGES, WALK_FIXED)

@@ -151,6 +151,16 @@ def test_det_rejects_nonsquare():
         det_exact(IntMatrix.from_rows([[1, 2, 3]]))
 
 
+
+@pytest.mark.parametrize("entry", [1.5, "7", Fraction(3), True],
+                         ids=["float", "str", "fraction", "bool"])
+def test_non_int_entry_is_rejected(entry):
+    # from_rows and the constructor share one check and convert nothing
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1, entry]])
+    with pytest.raises(TypeError):
+        IntMatrix(1, 2, ((1, entry),))
+
 def test_solve_identity():
     m = IntMatrix.identity(3)
     rhs = [Fraction(1, 2), Fraction(-3), Fraction(7, 5)]
