@@ -17,11 +17,11 @@ exact arithmetic.  Every valuation of a4^3 must then be divisible by 3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
+from ._record import Record, set_field
 from .intmat import IntMatrix
 from .lattices import Lattice
 from .polynomials import (
@@ -59,17 +59,18 @@ class NonMinimalModelError(ValueError):
     """The model can be rescaled at the place before classification."""
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
-    a4_cubed: Poly
-    a6: Poly
-    label: str = ""
-    a4: Poly | None = None
+class WeierstrassModel(Record):
+    __slots__ = ("a4_cubed", "a6", "label", "a4", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.a4_cubed.degree > 24:
+    def __init__(self, a4_cubed: Poly, a6: Poly, label: str = "",
+                 a4: Poly | None = None) -> None:
+        set_field(self, "a4_cubed", a4_cubed)
+        set_field(self, "a6", a6)
+        set_field(self, "label", label)
+        set_field(self, "a4", a4)
+        if a4_cubed.degree > 24:
             raise ValueError("deg a4 exceeds the K3 bound of 8")
-        if self.a6.degree > 12:
+        if a6.degree > 12:
             raise ValueError("deg a6 exceeds the K3 bound of 12")
         if self.discriminant.is_zero:
             raise ValueError("the discriminant vanishes identically")
@@ -163,14 +164,17 @@ def kodaira_data(tag: str) -> tuple[int, int, str | None]:
     return n, n, f"A{n - 1}" if n >= 2 else None
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    place: str
-    kodaira: str
-    euler: int
-    components: int
-    root_contribution: str | None
-    count: int = 1
+class FiberReport(Record):
+    __slots__ = ("place", "kodaira", "euler", "components", "root_contribution", "count")
+
+    def __init__(self, place: str, kodaira: str, euler: int, components: int,
+                 root_contribution: str | None, count: int = 1) -> None:
+        set_field(self, "place", place)
+        set_field(self, "kodaira", kodaira)
+        set_field(self, "euler", euler)
+        set_field(self, "components", components)
+        set_field(self, "root_contribution", root_contribution)
+        set_field(self, "count", count)
 
 
 def _fiber_type(v4: int | None, v6: int | None,
@@ -242,14 +246,17 @@ def classify_place(w: WeierstrassModel, place: Place) -> FiberReport:
     return report
 
 
-@dataclass(frozen=True)
-class FibrationAnalysis:
-    label: str
-    fibers: tuple[FiberReport, ...]
-    euler_total: int
-    ns_rank: int
-    mw_rank: int
-    notes: tuple[str, ...] = ()
+class FibrationAnalysis(Record):
+    __slots__ = ("label", "fibers", "euler_total", "ns_rank", "mw_rank", "notes")
+
+    def __init__(self, label: str, fibers: tuple[FiberReport, ...], euler_total: int,
+                 ns_rank: int, mw_rank: int, notes: tuple[str, ...] = ()) -> None:
+        set_field(self, "label", label)
+        set_field(self, "fibers", fibers)
+        set_field(self, "euler_total", euler_total)
+        set_field(self, "ns_rank", ns_rank)
+        set_field(self, "mw_rank", mw_rank)
+        set_field(self, "notes", notes)
 
     @property
     def euler_ok(self) -> bool:
@@ -294,12 +301,15 @@ def analyze_k3(w: WeierstrassModel, ns_rank: int) -> FibrationAnalysis:
                              mw, tuple(notes))
 
 
-@dataclass(frozen=True)
-class FiberGraph:
+class FiberGraph(Record):
     """Dual graph of a fiber: component multiplicities and weighted edges."""
 
-    multiplicities: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = ("multiplicities", "edges")
+
+    def __init__(self, multiplicities: tuple[int, ...],
+                 edges: tuple[tuple[int, int, int], ...]) -> None:
+        set_field(self, "multiplicities", multiplicities)
+        set_field(self, "edges", edges)
 
 
 def check_affine(graph: FiberGraph) -> None:
@@ -352,34 +362,35 @@ def fiber_graph(tag: str) -> FiberGraph:
 _RESERVED = ("S", "F")
 
 
-@dataclass(frozen=True)
-class FiberSpec:
-    place: str
-    kodaira: str
-    identity: str = ""
-    components: tuple[str, ...] = ()
-    count: int = 1
+class FiberSpec(Record):
+    __slots__ = ("place", "kodaira", "identity", "components", "count")
 
-    def __post_init__(self) -> None:
-        _, m, _ = kodaira_data(self.kodaira)
-        if self.count < 1:
+    def __init__(self, place: str, kodaira: str, identity: str = "",
+                 components: tuple[str, ...] = (), count: int = 1) -> None:
+        set_field(self, "place", place)
+        set_field(self, "kodaira", kodaira)
+        set_field(self, "identity", identity)
+        set_field(self, "components", components)
+        set_field(self, "count", count)
+        _, m, _ = kodaira_data(kodaira)
+        if count < 1:
             raise ValueError("count must be positive")
-        if self.count > 1 and m > 1:
+        if count > 1 and m > 1:
             raise ValueError("only irreducible fibers may be bundled by count")
-        if not self.components:
-            if self.identity:
+        if not components:
+            if identity:
                 raise ValueError("an identity label needs component labels")
             return
-        if len(self.components) != m:
-            raise ValueError(f"{self.kodaira} needs exactly {m} component labels")
-        if len(set(self.components)) != m:
+        if len(components) != m:
+            raise ValueError(f"{kodaira} needs exactly {m} component labels")
+        if len(set(components)) != m:
             raise ValueError("component labels must be distinct")
-        if any(c in _RESERVED for c in self.components):
+        if any(c in _RESERVED for c in components):
             raise ValueError("labels S and F are reserved")
-        if self.identity not in self.components:
+        if identity not in components:
             raise ValueError("the identity component must be among the labels")
-        graph = fiber_graph(self.kodaira)
-        if graph.multiplicities[self.components.index(self.identity)] != 1:
+        graph = fiber_graph(kodaira)
+        if graph.multiplicities[components.index(identity)] != 1:
             raise ValueError("the identity component must have multiplicity 1")
 
 
@@ -404,14 +415,14 @@ def check_fibration_rules(fibers: Sequence[FiberSpec], mw_rank: int) -> None:
         raise ValueError("Shioda-Tate rank exceeds 20")
 
 
-@dataclass(frozen=True)
-class FibrationModel:
-    fibers: tuple[FiberSpec, ...]
-    mw_rank: int
+class FibrationModel(Record):
+    __slots__ = ("fibers", "mw_rank", "__dict__")
 
-    def __post_init__(self) -> None:
-        check_fibration_rules(self.fibers, self.mw_rank)
-        total = sum(kodaira_data(f.kodaira)[0] * f.count for f in self.fibers)
+    def __init__(self, fibers: tuple[FiberSpec, ...], mw_rank: int) -> None:
+        set_field(self, "fibers", fibers)
+        set_field(self, "mw_rank", mw_rank)
+        check_fibration_rules(fibers, mw_rank)
+        total = sum(kodaira_data(f.kodaira)[0] * f.count for f in fibers)
         if total != 24:
             raise ValueError(f"Euler numbers sum to {total}; an elliptic K3 needs 24")
 
@@ -420,8 +431,7 @@ class FibrationModel:
         return _shioda_tate_rank(self.fibers, self.mw_rank)
 
 
-@dataclass(frozen=True, eq=False)
-class NeronSeveri:
+class NeronSeveri(Record):
     """Intersection lattice of a fibration with section and finite
     Mordell-Weil group, with named classes in basis coordinates.
 
@@ -430,9 +440,15 @@ class NeronSeveri:
     fiber class F minus its weighted siblings.
     """
 
-    lattice: Lattice
-    basis: tuple[str, ...]
-    vectors: Mapping[str, tuple[int, ...]]
+    __slots__ = ("lattice", "basis", "vectors")
+    __eq__ = object.__eq__      # compared by identity
+    __hash__ = object.__hash__
+
+    def __init__(self, lattice: Lattice, basis: tuple[str, ...],
+                 vectors: Mapping[str, tuple[int, ...]]) -> None:
+        set_field(self, "lattice", lattice)
+        set_field(self, "basis", basis)
+        set_field(self, "vectors", vectors)
 
 
 def build_neron_severi(model: FibrationModel) -> NeronSeveri:
@@ -534,7 +550,11 @@ def weierstrass_from_data(data) -> WeierstrassModel:
         raise ValueError("give exactly one of a4 and a4_cubed")
     if "a4" in data:
         return WeierstrassModel.from_a4(_poly_from_json(data["a4"]), a6, label)
-    return WeierstrassModel.from_a4_cubed(_as_rational(data["a4_cubed"]), a6, label)
+    a4_cubed = data["a4_cubed"]
+    if isinstance(a4_cubed, bool) or not isinstance(a4_cubed, (int, str)):
+        raise ValueError("a4_cubed must be one rational (an integer or a string "
+                         "like '-27/4')")
+    return WeierstrassModel.from_a4_cubed(_as_rational(a4_cubed), a6, label)
 
 
 def _json_int(value, name: str) -> int:

@@ -22,8 +22,9 @@ configurations handled here are assumed to contain all fixed curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from ._record import Record, set_field
 
 ORDER = 7
 
@@ -31,14 +32,17 @@ GENUS_RATIONAL = 0
 GENUS_ONE = 1
 
 
-@dataclass(frozen=True)
-class FixedLocusProfile:
-    name: str
-    rank: int
-    n26: int
-    n35: int
-    n44: int
-    curves: tuple[int, ...]
+class FixedLocusProfile(Record):
+    __slots__ = ("name", "rank", "n26", "n35", "n44", "curves")
+
+    def __init__(self, name: str, rank: int, n26: int, n35: int, n44: int,
+                 curves: tuple[int, ...]) -> None:
+        set_field(self, "name", name)
+        set_field(self, "rank", rank)
+        set_field(self, "n26", n26)
+        set_field(self, "n35", n35)
+        set_field(self, "n44", n44)
+        set_field(self, "curves", curves)
 
     @property
     def points(self) -> int:
@@ -92,10 +96,12 @@ def lefschetz_check(profile: FixedLocusProfile, transcendental_rank: int) -> boo
     return profile.euler == 2 + profile.rank - transcendental_rank // 6
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    curves: tuple[str, ...]
-    exponents: tuple[int, int]
+class FixedPoint(Record):
+    __slots__ = ("curves", "exponents")
+
+    def __init__(self, curves: tuple[str, ...], exponents: tuple[int, int]) -> None:
+        set_field(self, "curves", curves)
+        set_field(self, "exponents", exponents)
 
     @property
     def kind(self) -> str:
@@ -104,11 +110,14 @@ class FixedPoint:
         return f"P{self.exponents[0]}{self.exponents[1]}"
 
 
-@dataclass(frozen=True)
-class ChainWalk:
-    fixed_curves: tuple[str, ...]
-    points: tuple[FixedPoint, ...]
-    conflicts: tuple[str, ...]
+class ChainWalk(Record):
+    __slots__ = ("fixed_curves", "points", "conflicts")
+
+    def __init__(self, fixed_curves: tuple[str, ...], points: tuple[FixedPoint, ...],
+                 conflicts: tuple[str, ...]) -> None:
+        set_field(self, "fixed_curves", fixed_curves)
+        set_field(self, "points", points)
+        set_field(self, "conflicts", conflicts)
 
     @property
     def consistent(self) -> bool:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Sequence
 
+from ._record import Record, set_field
 from .intmat import IntMatrix, det_exact, mat_vec, smith_normal_form
 
 MAX_RANK = 26
@@ -29,28 +29,30 @@ A480 and 81 s on A960, and on random even Gram files 0.46 s at rank 26,
 11.9 s at rank 28 and 46 s at rank 32."""
 
 
-@dataclass(frozen=True)
-class Signature:
-    positive: int
-    negative: int
-    zero: int
+class Signature(Record):
+    __slots__ = ("positive", "negative", "zero")
+
+    def __init__(self, positive: int, negative: int, zero: int) -> None:
+        set_field(self, "positive", positive)
+        set_field(self, "negative", negative)
+        set_field(self, "zero", zero)
 
     @property
     def rank(self) -> int:
         return self.positive + self.negative + self.zero
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Free Z-module with a symmetric integer bilinear form."""
 
-    gram: IntMatrix
-    label: str = ""
+    __slots__ = ("gram", "label", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.gram.rows != self.gram.cols:
+    def __init__(self, gram: IntMatrix, label: str = "") -> None:
+        set_field(self, "gram", gram)
+        set_field(self, "label", label)
+        if gram.rows != gram.cols:
             raise ValueError("Gram matrix must be square")
-        if self.gram != self.gram.transpose():
+        if gram != gram.transpose():
             raise ValueError("Gram matrix must be symmetric")
 
     @property
@@ -72,8 +74,7 @@ class Lattice:
         return sum(map(mul, v, mat_vec(self.gram, w)))
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Record):
     """Dual quotient of a nondegenerate lattice, with its bilinear form.
 
     Elements are coefficient tuples c against the generators; the i-th
@@ -87,9 +88,13 @@ class DiscriminantGroup:
     over its least denominator.  qvalues[i] is q on the i-th generator.
     """
 
-    invariant_factors: tuple[int, ...]
-    numerators: IntMatrix
-    gram: IntMatrix
+    __slots__ = ("invariant_factors", "numerators", "gram")
+
+    def __init__(self, invariant_factors: tuple[int, ...], numerators: IntMatrix,
+                 gram: IntMatrix) -> None:
+        set_field(self, "invariant_factors", invariant_factors)
+        set_field(self, "numerators", numerators)
+        set_field(self, "gram", gram)
 
     @property
     def order(self) -> int:

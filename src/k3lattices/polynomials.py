@@ -13,10 +13,11 @@ rational roots, and valuation refinement against squarefree moduli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Iterator, Sequence, Union
+
+from ._record import Record, set_field
 
 Rational = Union[int, Fraction]
 
@@ -41,12 +42,14 @@ def _monic(cs: Sequence[int]) -> "Poly":
     return Poly(tuple(cs), Fraction(1, cs[-1]))
 
 
-@dataclass(frozen=True, slots=True)
-class Poly:
+class Poly(Record):
     """content * sum(ints[i] * t^i); build one with of, constant or monomial."""
 
-    ints: tuple[int, ...]
-    content: Fraction
+    __slots__ = ("ints", "content")
+
+    def __init__(self, ints: tuple[int, ...], content: Fraction) -> None:
+        set_field(self, "ints", ints)
+        set_field(self, "content", content)
 
     @classmethod
     def of(cls, coeffs: Iterable[Rational]) -> "Poly":

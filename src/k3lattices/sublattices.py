@@ -9,26 +9,26 @@ obtained by adjoining a single glue vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import gcd, prod
 
+from ._record import Record, set_field
 from .intmat import IntMatrix, hermite_normal_form, integer_kernel, mat_vec, smith_normal_form
 from .lattices import Lattice, discriminant_group
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """Generators of a finite-rank subgroup, as columns in ambient coordinates."""
 
-    ambient: Lattice
-    coords: IntMatrix
+    __slots__ = ("ambient", "coords", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.coords.rows != self.ambient.rank:
+    def __init__(self, ambient: Lattice, coords: IntMatrix) -> None:
+        set_field(self, "ambient", ambient)
+        set_field(self, "coords", coords)
+        if coords.rows != ambient.rank:
             raise ValueError("coordinate rows must match the ambient rank")
-        if sum(1 for x in self.smith[0] if x != 0) != self.coords.cols:
+        if sum(1 for x in self.smith[0] if x != 0) != coords.cols:
             raise ValueError("generator columns must be independent")
 
     @cached_property
@@ -83,8 +83,7 @@ def half_sum_search(s: Sublattice) -> list[tuple[int, ...]]:
     return sorted(tuple([i for i in range(s.rank) if x >> i & 1]) for x in sums[1:])
 
 
-@dataclass(frozen=True)
-class GlueSolution:
+class GlueSolution(Record):
     """Glue data of a corank-1 chain sublattice.
 
     n is the index of (delta + complement) in the ambient lattice; H
@@ -94,11 +93,15 @@ class GlueSolution:
     ambient coordinates.
     """
 
-    n: int
-    H: tuple[int, ...]
-    h: tuple[int, ...]
-    a: tuple[int, ...]
-    h_plus: tuple[int, ...]
+    __slots__ = ("n", "H", "h", "a", "h_plus")
+
+    def __init__(self, n: int, H: tuple[int, ...], h: tuple[int, ...], a: tuple[int, ...],
+                 h_plus: tuple[int, ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "H", H)
+        set_field(self, "h", h)
+        set_field(self, "a", a)
+        set_field(self, "h_plus", h_plus)
 
 
 def solve_glue(ambient: Lattice, delta: Sublattice,
@@ -164,8 +167,7 @@ def _glue_vector(H: list[int], delta: Sublattice, weights: tuple[int, ...] | lis
     return tuple([x // n for x in numerator])
 
 
-@dataclass(frozen=True)
-class Overlattice:
+class Overlattice(Record):
     """A finite-index even overlattice, with the adjoined glue vector.
 
     The adjoined vector is glue / scale, with glue an integer vector in the
@@ -174,11 +176,15 @@ class Overlattice:
     even) Gram matrix.
     """
 
-    glue: tuple[int, ...]
-    scaled: IntMatrix
-    scale: int
-    gram: IntMatrix
-    index: int
+    __slots__ = ("glue", "scaled", "scale", "gram", "index")
+
+    def __init__(self, glue: tuple[int, ...], scaled: IntMatrix, scale: int,
+                 gram: IntMatrix, index: int) -> None:
+        set_field(self, "glue", glue)
+        set_field(self, "scaled", scaled)
+        set_field(self, "scale", scale)
+        set_field(self, "gram", gram)
+        set_field(self, "index", index)
 
 
 def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:

@@ -8,10 +8,10 @@ control for the exit-code contract."""
 
 from __future__ import annotations
 
-import datetime
-from dataclasses import dataclass
+import time
 
 from . import __version__
+from ._record import Record, set_field
 from .intmat import IntMatrix, det_exact
 from .lattices import Lattice, discriminant_group, make_named, signature
 from .fibration import analyze_k3
@@ -38,19 +38,24 @@ from .fixtures import (
 from .sublattices import Overlattice, half_sum_search, is_primitive
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    anchor: str
-    passed: bool
-    values: tuple[tuple[str, str], ...]
+class CheckResult(Record):
+    __slots__ = ("check_id", "anchor", "passed", "values")
+
+    def __init__(self, check_id: str, anchor: str, passed: bool,
+                 values: tuple[tuple[str, str], ...]) -> None:
+        set_field(self, "check_id", check_id)
+        set_field(self, "anchor", anchor)
+        set_field(self, "passed", passed)
+        set_field(self, "values", values)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    version: str
-    timestamp: str
-    checks: tuple[CheckResult, ...]
+class VerificationReport(Record):
+    __slots__ = ("version", "timestamp", "checks")
+
+    def __init__(self, version: str, timestamp: str, checks: tuple[CheckResult, ...]) -> None:
+        set_field(self, "version", version)
+        set_field(self, "timestamp", timestamp)
+        set_field(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -244,6 +249,5 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         placement_ok and search_ok,
         {"counts": walk.counts(), "positions": pairs})
 
-    timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
-        timespec="seconds")
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     return VerificationReport(__version__, timestamp, tuple(checks))

@@ -222,6 +222,16 @@ def test_fibration_zero_denominator_is_bad_input(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("a4_cubed", [[8], ["-27/4"], {"value": 8}, None, True, 1.5],
+                         ids=["list", "list-of-string", "object", "null", "bool", "float"])
+def test_a4_cubed_must_be_one_rational(capsys, tmp_path, a4_cubed):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"a4_cubed": a4_cubed, "a6": [1]}))
+    code, out, err = run(capsys, "fibration", str(path))
+    assert (code, out, err) == (2, "", "error: a4_cubed must be one rational "
+                                        "(an integer or a string like '-27/4')\n")
+
+
 @pytest.mark.parametrize("fibers, mw", [
     ([{"place": "0", "type": "II*"}, {"place": "0", "type": "II*"}], -1),
     ([{"place": "0", "type": "II*"}, {"place": "0", "type": "I1", "count": 3}], 0),

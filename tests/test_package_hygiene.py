@@ -3,9 +3,12 @@ the standard library, as the README promises, and builds no tuple from a
 generator; checked on the syntax tree of every module.  No module of the
 package or of the tests imports a name it never uses, and every public
 function or class of the package is either used by the package or
-exported."""
+exported.  Start-up stays cheap: no module imports dataclasses or
+datetime or calls exec or eval, and importing the command line loads
+none of dataclasses, inspect and datetime."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,6 +58,30 @@ def test_imports_only_the_standard_library(path):
         for name in names:
             top = name.split(".")[0]
             assert top in allowed or top == "k3lattices", f"{path.name}: {name}"
+
+
+SLOW_IMPORTS = ("dataclasses", "inspect", "datetime")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_datetime_exec_or_eval(path):
+    # the dataclass decorator execs each generated method at import time
+    for node in ast.walk(tree(path)):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Import):
+            assert not {a.name for a in node.names} & set(SLOW_IMPORTS), where
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module not in SLOW_IMPORTS, where
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id not in ("exec", "eval"), where
+
+
+def test_cli_import_loads_no_slow_modules():
+    script = ("import sys; before = set(sys.modules); import k3lattices.cli; "
+              f"print(sorted(set(sys.modules) - before & set({SLOW_IMPORTS!r})))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
