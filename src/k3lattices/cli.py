@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .fibration import (
@@ -36,10 +36,14 @@ from .lattices import (
 from .verify import run_verification
 
 
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _load_lattice(source: str):
-    path = Path(source)
-    if path.is_file():
-        return lattice_from_json(path.read_text())
+    if os.path.isfile(source):
+        return lattice_from_json(_read(source))
     return make_named(source)
 
 
@@ -163,13 +167,12 @@ def cmd_fibration(args: argparse.Namespace) -> int:
     source = args.model
     if source in WEIERSTRASS_NAMES:
         return _report_analysis(analyze_k3(weierstrass_model(source), NS_RANK), args.json)
-    path = Path(source)
-    if not path.is_file():
+    if not os.path.isfile(source):
         known = ", ".join(WEIERSTRASS_NAMES)
         raise ValueError(
             f"unknown model {source!r}; give a built-in name ({known}) "
             "or a JSON file")
-    data = decode_json(path.read_text())
+    data = decode_json(_read(source))
     if isinstance(data, dict) and "fibers" in data:
         return _report_fibration_json(data, args.json)
     return _report_analysis(analyze_k3(weierstrass_from_data(data), NS_RANK), args.json)

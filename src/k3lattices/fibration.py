@@ -9,9 +9,11 @@ labeled components and a zero-section is turned into its intersection
 lattice on the basis {S, F, non-identity components}, from which linear
 chains of (-2)-curves can be extracted as sublattices.
 
-The quartic coefficient is tracked through its cube so that models
-whose a4 is only rational after cubing (a4^3 = -27/4 below) stay inside
-exact arithmetic.  Every valuation of a4^3 must then be divisible by 3.
+The x coefficient is c*a4 for a polynomial a4 and a constant c given
+through its cube, a nonzero rational, so that a model whose x coefficient
+is only rational after cubing (c^3 = -27/4 for i7e8) stays inside exact
+arithmetic.  The constant c changes no valuation, so every place reads
+v(a4) off a4 itself.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from ._record import Record, set_field
 from .intmat import IntMatrix
@@ -36,69 +38,43 @@ from .polynomials import (
 from .sublattices import Sublattice
 
 
-class Infinity:
-    """Singleton marker for the place at infinity of the base line."""
-
-    _instance: "Infinity | None" = None
-
-    def __new__(cls) -> "Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = Infinity()
-
-Place = Union[Rational, Infinity]
-
-
 class NonMinimalModelError(ValueError):
     """The model can be rescaled at the place before classification."""
 
 
 class WeierstrassModel(Record):
-    __slots__ = ("a4_cubed", "a6", "label", "a4", "__dict__")
+    """y^2 = x^3 + c*a4*x + a6, where c^3 = a4_scale_cubed is a nonzero rational."""
 
-    def __init__(self, a4_cubed: Poly, a6: Poly, label: str = "",
-                 a4: Poly | None = None) -> None:
-        set_field(self, "a4_cubed", a4_cubed)
+    __slots__ = ("a4", "a6", "label", "a4_scale_cubed", "__dict__")
+
+    def __init__(self, a4: Poly, a6: Poly, label: str = "",
+                 a4_scale_cubed: Rational = 1) -> None:
+        set_field(self, "a4", a4)
         set_field(self, "a6", a6)
         set_field(self, "label", label)
-        set_field(self, "a4", a4)
-        if a4_cubed.degree > 24:
+        set_field(self, "a4_scale_cubed", a4_scale_cubed)
+        if a4.degree > 8:
             raise ValueError("deg a4 exceeds the K3 bound of 8")
         if a6.degree > 12:
             raise ValueError("deg a6 exceeds the K3 bound of 12")
+        if a4_scale_cubed == 0:
+            raise ValueError("a4_scale_cubed must be nonzero")
         if self.discriminant.is_zero:
             raise ValueError("the discriminant vanishes identically")
 
     @cached_property
     def discriminant(self) -> Poly:
-        return (self.a4_cubed * 4 + self.a6 * self.a6 * 27) * -16
-
-    @classmethod
-    def from_a4(cls, a4: Poly, a6: Poly, label: str = "") -> "WeierstrassModel":
-        if a4.degree > 8:
-            raise ValueError("deg a4 exceeds the K3 bound of 8")
-        return cls(a4 * a4 * a4, a6, label, a4)
+        a4 = self.a4
+        return (a4 * a4 * a4 * (4 * self.a4_scale_cubed) + self.a6 * self.a6 * 27) * -16
 
     @classmethod
     def from_a4_cubed(cls, value: Rational, a6: Poly,
                       label: str = "") -> "WeierstrassModel":
-        return cls(Poly.constant(value), a6, label)
-
-
-def _third(v: int) -> int:
-    if v % 3:
-        raise ValueError("valuation of a4^3 is not divisible by 3")
-    return v // 3
+        return cls(Poly.constant(1 if value else 0), a6, label, value or 1)
 
 
 def _infinite_valuations(w: WeierstrassModel) -> tuple[int | None, int | None, int]:
-    v4 = None if w.a4_cubed.is_zero else 8 - _third(w.a4_cubed.degree)
+    v4 = None if w.a4.is_zero else 8 - w.a4.degree
     v6 = None if w.a6.is_zero else 12 - w.a6.degree
     return v4, v6, 24 - w.discriminant.degree
 
@@ -192,29 +168,19 @@ def _split_valuations(f: Poly, modulus: Poly) -> list[tuple[Poly, int | None]]:
     return [(modulus, None)] if f.is_zero else uniform_valuations(f, modulus)
 
 
-def _a4_valuations(w: WeierstrassModel, modulus: Poly) -> list[tuple[Poly, int | None]]:
-    """The modulus split by v(a4), read off a4 itself when the model has it."""
-    if w.a4 is not None:
-        return _split_valuations(w.a4, modulus)
-    return [(h, None if v is None else _third(v))
-            for h, v in _split_valuations(w.a4_cubed, modulus)]
-
-
 def _uniform_pieces(w: WeierstrassModel, modulus: Poly,
                     vd: int) -> list[tuple[Poly, int | None, int | None]]:
     """The modulus split into pieces (h, v(a4), v(a6)) of constant valuations.
 
-    At a root of Delta = -16 (4 a4^3 + 27 a6^2), 4 a4^3 = -27 a6^2, so a4
-    vanishes there iff a6 does.  Hence for vd >= 1 a piece with v(a4) = 0
-    has v(a6) = 0 and needs no a6 split; and vd = 1 means (0, 0), since a
-    common root of a4 and a6 has v(a4^3) >= 3 and v(a6^2) >= 2, so
-    v(Delta) >= 2.  The second fact needs a4 to be a polynomial; a
-    non-constant a4_cubed given without a4 keeps the split, where _third
-    still rejects a valuation of a4^3 that 3 does not divide.
+    At a root of Delta = -16 (4 c^3 a4^3 + 27 a6^2), 4 c^3 a4^3 = -27 a6^2,
+    so a4 vanishes there iff a6 does.  Hence for vd >= 1 a piece with
+    v(a4) = 0 has v(a6) = 0 and needs no a6 split; and vd = 1 means (0, 0),
+    since a common root of a4 and a6 has v(a4^3) >= 3 and v(a6^2) >= 2, so
+    v(Delta) >= 2.
     """
-    if vd == 1 and (w.a4 is not None or w.a4_cubed.degree < 1):
+    if vd == 1:
         return [(modulus, 0, 0)]
-    return [(h6, v4, v6) for h4, v4 in _a4_valuations(w, modulus)
+    return [(h6, v4, v6) for h4, v4 in _split_valuations(w.a4, modulus)
             for h6, v6 in ([(h4, 0)] if v4 == 0 and vd >= 1
                            else _split_valuations(w.a6, h4))]
 
@@ -235,15 +201,6 @@ def _classify_roots(w: WeierstrassModel, modulus: Poly, vd: int) -> list[FiberRe
             reports.append(FiberReport(format_poly(primitive_integer(rest)),
                                        *fiber, count=rest.degree))
     return reports
-
-
-def classify_place(w: WeierstrassModel, place: Place) -> FiberReport:
-    if place is INFINITY:
-        return FiberReport("inf", *_fiber_type(*_infinite_valuations(w)))
-    linear = Poly.of((-Fraction(place), 1))
-    [(_, vd)] = uniform_valuations(w.discriminant, linear)
-    [report] = _classify_roots(w, linear, vd)
-    return report
 
 
 class FibrationAnalysis(Record):
@@ -291,7 +248,7 @@ def analyze_k3(w: WeierstrassModel, ns_rank: int) -> FibrationAnalysis:
         reports.extend(_classify_roots(w, piece, mult))
     if 24 - w.discriminant.degree > 0:
         try:
-            reports.append(classify_place(w, INFINITY))
+            reports.append(FiberReport("inf", *_fiber_type(*_infinite_valuations(w))))
         except NonMinimalModelError as err:
             notes.append(f"place at infinity skipped: {err}")
     reports.sort(key=_report_key)
@@ -520,11 +477,14 @@ def extract_chain(ns: NeronSeveri, labels: Sequence[str]) -> Sublattice:
     return sub
 
 
-def _as_rational(value) -> Rational:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError("rationals must be integers or strings like '-27/4'")
-    if isinstance(value, int):
+def _as_rational(value, message: str = "rationals must be integers or strings "
+                                       "like '-27/4'") -> Rational:
+    """A non-bool int or an ASCII string n or n/d; Fraction alone would also
+    read decimals and exponents, and expand "1e10000000" digit by digit."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
+    if not isinstance(value, str) or not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+        raise ValueError(message)
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -549,12 +509,10 @@ def weierstrass_from_data(data) -> WeierstrassModel:
     if ("a4" in data) == ("a4_cubed" in data):
         raise ValueError("give exactly one of a4 and a4_cubed")
     if "a4" in data:
-        return WeierstrassModel.from_a4(_poly_from_json(data["a4"]), a6, label)
-    a4_cubed = data["a4_cubed"]
-    if isinstance(a4_cubed, bool) or not isinstance(a4_cubed, (int, str)):
-        raise ValueError("a4_cubed must be one rational (an integer or a string "
-                         "like '-27/4')")
-    return WeierstrassModel.from_a4_cubed(_as_rational(a4_cubed), a6, label)
+        return WeierstrassModel(_poly_from_json(data["a4"]), a6, label)
+    a4_cubed = _as_rational(data["a4_cubed"], "a4_cubed must be one rational (an "
+                            "integer or a string like '-27/4')")
+    return WeierstrassModel.from_a4_cubed(a4_cubed, a6, label)
 
 
 def _json_int(value, name: str) -> int:

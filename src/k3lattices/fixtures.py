@@ -77,8 +77,7 @@ def weierstrass_model(name: str) -> WeierstrassModel:
         return WeierstrassModel.from_a4_cubed(
             Fraction(-27, 4), Poly.of([-1, 0, 0, 0, 0, 0, 0, 1]), name)
     if name == "e7e6":
-        return WeierstrassModel.from_a4(
-            Poly.monomial(3), Poly.monomial(8), name)
+        return WeierstrassModel(Poly.monomial(3), Poly.monomial(8), name)
     raise ValueError(f"unknown model {name!r}; have {', '.join(WEIERSTRASS_NAMES)}")
 
 

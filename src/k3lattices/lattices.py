@@ -128,7 +128,7 @@ class DiscriminantGroup(Record):
         return tuple([x // g for x in v]), e // g
 
 
-_NAME_RE = re.compile(r"^([ADEUZK])\(?(-?\d+)?\)?$")
+_NAME_RE = re.compile(r"([ADEUZK])(?:\((-?[0-9]+)\)|(-?[0-9]+))?")
 
 
 def make_named(name: str) -> Lattice:
@@ -136,7 +136,8 @@ def make_named(name: str) -> Lattice:
     several joined by "+", as in "U + E8 + A6".
 
     Accepted: A(n) n>=1, D(n) n>=3, E(6|7|8), U, U(m) m!=0, K7,
-    Z(k) k!=0.  Parentheses are optional: "A15" and "A(15)" agree.
+    Z(k) k!=0.  Parentheses are optional but must pair: "A15" and
+    "A(15)" agree.
     """
     parts = [p.strip() for p in name.split("+")]
     if not all(parts):
@@ -148,10 +149,10 @@ def make_named(name: str) -> Lattice:
             raise ValueError(f"total rank {rank} is above {MAX_RANK}")
         return direct_sum(*summands)
     name = parts[0]
-    m = _NAME_RE.match(name)
+    m = _NAME_RE.fullmatch(name)
     if not m:
         raise ValueError(f"unrecognized lattice name {name!r}")
-    family, arg = m.group(1), m.group(2)
+    family, arg = m.group(1), m.group(2) or m.group(3)
     n = int(arg) if arg is not None else None
 
     if family == "U":

@@ -1,9 +1,12 @@
 """End-to-end tests for the command line interface, run in-process."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from k3lattices.cli import _print_fiber_table, main
 from k3lattices.fibration import weierstrass_from_data
@@ -214,6 +217,17 @@ def test_fibration_k3_bound_rejected(capsys, tmp_path):
     assert "K3 bound" in err
 
 
+# Fraction reads all of these; "1e10000000" would take tens of seconds
+@pytest.mark.parametrize("text", ["1e10000000", "1e3", "1.5", " 3 ", "1_0", ".5",
+                                  "\u0661/\u0662", "1/-2", "+", ""])
+def test_a6_strings_must_be_ascii_n_or_n_over_d(capsys, tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"a4": [1], "a6": [text]}))
+    code, out, err = run(capsys, "fibration", str(path))
+    assert (code, out, err) == (2, "", "error: rationals must be integers or strings "
+                                        "like '-27/4'\n")
+
+
 def test_fibration_zero_denominator_is_bad_input(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"a4": [], "a6": ["1/0"]}))
@@ -222,8 +236,11 @@ def test_fibration_zero_denominator_is_bad_input(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("a4_cubed", [[8], ["-27/4"], {"value": 8}, None, True, 1.5],
-                         ids=["list", "list-of-string", "object", "null", "bool", "float"])
+@pytest.mark.parametrize("a4_cubed", [[8], ["-27/4"], {"value": 8}, None, True, 1.5,
+                                      "1.5", "1e3", " 3 ", "1_0", ".5", "\u0661/\u0662"],
+                         ids=["list", "list-of-string", "object", "null", "bool", "float",
+                              "decimal", "exponent", "spaces", "underscore", "bare-point",
+                              "arabic-indic"])
 def test_a4_cubed_must_be_one_rational(capsys, tmp_path, a4_cubed):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"a4_cubed": a4_cubed, "a6": [1]}))
@@ -381,18 +398,18 @@ def test_fibration_reports_of_rational_content_models(capsys, tmp_path, model,
     assert run(capsys, "fibration", str(path)) == (code, text, "")
 
 
-@pytest.mark.parametrize("model, a4, a4_cubed, a6", [
+@pytest.mark.parametrize("model, a4, a4_scale_cubed, a6", [
     ({"a4": ["1/2", "0", "3/7"], "a6": ["-5/3", 0, 0, 0, 0, 0, 0, "2/9"]},
-     (Fraction(1, 2), 0, Fraction(3, 7)),
-     (Fraction(1, 8), 0, Fraction(9, 28), 0, Fraction(27, 98), 0, Fraction(27, 343)),
+     (Fraction(1, 2), 0, Fraction(3, 7)), 1,
      (Fraction(-5, 3), 0, 0, 0, 0, 0, 0, Fraction(2, 9))),
     ({"a4_cubed": "-27/4", "a6": ["-1", 0, 0, 0, 0, 0, 0, "-3/7"]},
-     None, (Fraction(-27, 4),), (-1, 0, 0, 0, 0, 0, 0, Fraction(-3, 7))),
-], ids=["fractional-a4-a6", "a4-cubed-negative-a6"])
-def test_weierstrass_json_of_rational_content_models(model, a4, a4_cubed, a6):
+     (1,), Fraction(-27, 4), (-1, 0, 0, 0, 0, 0, 0, Fraction(-3, 7))),
+    ({"a4_cubed": 0, "a6": [1, 0, 1]}, (), 1, (1, 0, 1)),
+], ids=["fractional-a4-a6", "a4-cubed-negative-a6", "a4-cubed-zero"])
+def test_weierstrass_json_of_rational_content_models(model, a4, a4_scale_cubed, a6):
     w = weierstrass_from_data(model)
-    assert (None if w.a4 is None else w.a4.coeffs, w.a4_cubed.coeffs, w.a6.coeffs,
-            w.label) == (a4, a4_cubed, a6, "")
+    assert (w.a4.coeffs, w.a4_scale_cubed, w.a6.coeffs, w.label) \
+        == (a4, a4_scale_cubed, a6, "")
 
 
 def test_fibration_unknown_source(capsys):
@@ -466,3 +483,69 @@ def test_fiber_table_separates_long_places(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == [
         "  xxxxxxxxxxxxx I1    1      1      1      -",
         "  xxxxxxxxxxxxxx I1    1      1      1      -"]
+
+
+# --- fuzzed JSON files ------------------------------------------------------------
+
+FUZZ_KEYS = ["a4", "a4_cubed", "a6", "label", "fibers", "mw_rank", "place", "type",
+             "count", "identity", "components", "gram"]
+AWKWARD = st.none() | st.booleans() | st.floats() | st.sampled_from(
+    ["1/0", "1e5", "1.5", " 3 ", "", "inf", "II*", "S"])
+FUZZ_JSON = st.recursive(
+    AWKWARD | st.integers(-30, 30),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FUZZ_KEYS), inner, max_size=5),
+    max_leaves=16)
+RATIONALS = st.integers(-30, 30) | st.sampled_from(["-27/4", "3", "-1", "1/2"])
+KODAIRA = st.sampled_from(["I0", "I1", "I2", "I7", "I2*", "II", "III", "IV*", "III*",
+                           "II*"])
+
+
+@st.composite
+def fuzz_documents(draw):
+    """(command, document): a Weierstrass, fibration or lattice document
+    with some of its values swapped for awkward ones and a key perhaps
+    dropped or added, or any nested JSON over the schema keys."""
+    rate = draw(st.integers(0, 4))
+
+    def value(good):
+        return draw(AWKWARD) if draw(st.integers(0, 9)) < rate else draw(good)
+
+    def values(good, size):
+        return [value(good) for _ in range(draw(st.integers(0, size)))]
+
+    kind = draw(st.sampled_from(["weierstrass", "fibration", "lattice", "any"]))
+    command = "lattice-info" if kind == "lattice" else "fibration"
+    if kind == "any":
+        return draw(st.sampled_from(["fibration", "lattice-info"])), draw(FUZZ_JSON)
+    if kind == "weierstrass":
+        doc = {"a6": values(RATIONALS, 13)}
+        doc.update(draw(st.sampled_from([{"a4": values(RATIONALS, 9)},
+                                         {"a4_cubed": value(RATIONALS)}])))
+    elif kind == "fibration":
+        doc = {"fibers": [{"place": value(st.sampled_from(["0", "1", "inf", "t^2 + 1"])),
+                           "type": value(KODAIRA), "count": value(st.integers(1, 3))}
+                          for _ in range(draw(st.integers(0, 4)))],
+               "mw_rank": value(st.integers(0, 20))}
+    else:
+        n = draw(st.integers(0, 5))
+        doc = {"gram": [[value(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]}
+    if draw(st.integers(0, 3)) == 0:
+        doc.pop(draw(st.sampled_from(sorted(doc))))
+    if draw(st.integers(0, 3)) == 0:
+        doc[draw(st.sampled_from(FUZZ_KEYS))] = draw(FUZZ_JSON)
+    return command, doc
+
+
+@settings(deadline=None, max_examples=250,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request=fuzz_documents())
+def test_json_files_keep_the_exit_code_contract(tmp_path, request):
+    command, data = request
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, str(path), "--json"])
+    assert code in (0, 1, 2)
+    assert code != 2 or err.getvalue().startswith("error: ")

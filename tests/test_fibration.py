@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from k3lattices.fibration import (
-    INFINITY,
     FiberSpec,
     FibrationModel,
     FiberGraph,
@@ -17,7 +16,6 @@ from k3lattices.fibration import (
     analyze_k3,
     build_neron_severi,
     check_affine,
-    classify_place,
     extract_chain,
     fiber_graph,
     fiber_specs_from_json,
@@ -59,63 +57,70 @@ def test_discriminant_second_model():
 
 
 def test_discriminant_constant_model():
-    w = WeierstrassModel.from_a4(ONE, Poly.constant(0))
+    w = WeierstrassModel(ONE, Poly.constant(0))
     assert w.discriminant == Poly.constant(-64)
-    w = WeierstrassModel.from_a4(Poly.constant(0), ONE)
+    w = WeierstrassModel(Poly.constant(0), ONE)
     assert w.discriminant == Poly.constant(-432)
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        WeierstrassModel.from_a4(Poly.monomial(9), ONE)
+        WeierstrassModel(Poly.monomial(9), ONE)
     with pytest.raises(ValueError):
-        WeierstrassModel.from_a4(Poly.constant(0), Poly.monomial(13))
+        WeierstrassModel(Poly.constant(0), Poly.monomial(13))
     with pytest.raises(ValueError):
         # 4 a4^3 + 27 a6^2 = 0 identically
-        WeierstrassModel.from_a4(Poly.constant(-3), Poly.constant(2))
+        WeierstrassModel(Poly.constant(-3), Poly.constant(2))
+    with pytest.raises(ValueError, match="a4_scale_cubed must be nonzero"):
+        WeierstrassModel(ONE, ONE, "", 0)
+
+
+def test_a4_scale_changes_the_discriminant_not_the_valuations():
+    # y^2 = x^3 + c t x + t^2 with c^3 = 2: Delta = -16 (8 t^3 + 27 t^4)
+    w = WeierstrassModel(T, Poly.monomial(2), "", 2)
+    assert w.discriminant == Poly.of([0, 0, 0, -128, -432])
+    assert [(r.place, r.kodaira) for r in analyze_k3(w, NS_RANK).fibers] \
+        == [("-8/27", "I1"), ("0", "III")]
 
 
 # --- Kodaira classification ----------------------------------------------
 
+def _place(w, place):
+    [report] = [r for r in analyze_k3(w, NS_RANK).fibers if r.place == place]
+    return report
+
+
 def test_classify_known_places():
     w = weierstrass_model("i7e8")
-    zero = classify_place(w, 0)
+    zero = _place(w, "0")
     assert (zero.kodaira, zero.euler, zero.components, zero.root_contribution) \
         == ("I7", 7, 7, "A6")
-    inf = classify_place(w, INFINITY)
+    inf = _place(w, "inf")
     assert (inf.kodaira, inf.euler, inf.components, inf.root_contribution) \
         == ("II*", 10, 9, "E8")
 
     w = weierstrass_model("e7e6")
-    zero = classify_place(w, 0)
+    zero = _place(w, "0")
     assert (zero.kodaira, zero.euler, zero.root_contribution) == ("III*", 9, "E7")
-    inf = classify_place(w, INFINITY)
+    inf = _place(w, "inf")
     assert (inf.kodaira, inf.euler, inf.root_contribution) == ("IV*", 8, "E6")
-
-
-def test_classify_smooth_place():
-    report = classify_place(weierstrass_model("i7e8"), 1)
-    assert (report.kodaira, report.euler, report.components) == ("I0", 0, 1)
-    assert report.root_contribution is None
 
 
 def test_classify_a4_identically_zero():
     # y^2 = x^3 + t^5: valuations (inf, 5, 10) at the origin
-    w = WeierstrassModel.from_a4(Poly.constant(0), Poly.monomial(5))
-    report = classify_place(w, 0)
+    w = WeierstrassModel(Poly.constant(0), Poly.monomial(5))
+    report = _place(w, "0")
     assert (report.kodaira, report.euler) == ("II*", 10)
 
 
 def test_non_minimal_place_raises_with_hint():
-    w = WeierstrassModel.from_a4(Poly.monomial(4), Poly.monomial(6))
+    w = WeierstrassModel(Poly.monomial(4), Poly.monomial(6))
     with pytest.raises(NonMinimalModelError, match="x -> u\\^2 x"):
-        classify_place(w, 0)
-    with pytest.raises(NonMinimalModelError):
         analyze_k3(w, NS_RANK)
 
 
 def test_non_minimal_at_infinity_becomes_note():
-    w = WeierstrassModel.from_a4(Poly.monomial(4) + ONE, Poly.monomial(6))
+    w = WeierstrassModel(Poly.monomial(4) + ONE, Poly.monomial(6))
     analysis = analyze_k3(w, NS_RANK)
     assert any("infinity" in note for note in analysis.notes)
     assert not analysis.euler_ok
@@ -164,7 +169,7 @@ def test_analyze_second_model():
 def test_analyze_rational_singular_points():
     # y^2 = x^3 + x + t^2: nodal fibers where -16(4 + 27 t^4) has roots;
     # all roots are irrational, so one handle of four I1 fibers remains
-    w = WeierstrassModel.from_a4(ONE, Poly.monomial(2))
+    w = WeierstrassModel(ONE, Poly.monomial(2))
     analysis = analyze_k3(w, NS_RANK)
     assert [(r.place, r.kodaira, r.count) for r in analysis.fibers] \
         == [("27*t^4 + 4", "I1", 4)]
@@ -173,7 +178,7 @@ def test_analyze_rational_singular_points():
 
 
 def test_analyze_trivial_model_flags():
-    w = WeierstrassModel.from_a4(ONE, Poly.constant(0))
+    w = WeierstrassModel(ONE, Poly.constant(0))
     analysis = analyze_k3(w, NS_RANK)
     assert analysis.euler_total == 0
     assert not analysis.euler_ok
@@ -216,16 +221,6 @@ def test_analyze_model_without_a4():
         ("inf", "II*", 10, 9, "E8", 1),
     ]
     assert (analysis.euler_total, analysis.mw_rank, analysis.notes) == (24, 2, ())
-
-
-def test_classify_place_matches_analysis_at_rational_places():
-    models = [weierstrass_model("i7e8"), weierstrass_model("e7e6"),
-              weierstrass_from_data(A4_ZERO)]
-    for w in models:
-        for report in analyze_k3(w, NS_RANK).fibers:
-            if report.count == 1:
-                place = INFINITY if report.place == "inf" else Fraction(report.place)
-                assert classify_place(w, place) == report
 
 
 def test_discriminant_is_built_once_per_model():
@@ -425,7 +420,7 @@ def weierstrass_coefficients(draw):
 def test_analyze_k3_matches_the_valuation_oracle(coeffs):
     a4, a6 = coeffs
     try:
-        w = WeierstrassModel.from_a4(Poly.of(a4), Poly.of(a6))
+        w = WeierstrassModel(Poly.of(a4), Poly.of(a6))
     except ValueError:      # the discriminant vanishes identically
         assume(False)
     expected = weierstrass_symbols(a4, a6)

@@ -36,6 +36,13 @@ def test_named_rejects_bad_parameters():
             make_named(bad)
 
 
+@pytest.mark.parametrize("bad", ["A(15", "A15)", "U(7", "(7)", "U()", "A()",
+                                 "A\u0661\u0665", "A(\u0661\u0665)", "Z(\uff12)"])
+def test_named_rejects_unpaired_parentheses_and_non_ascii_digits(bad):
+    with pytest.raises(ValueError, match="unrecognized lattice name"):
+        make_named(bad)
+
+
 def test_chain_determinants_match_cofactor_oracle():
     for n in range(1, 21):
         l = make_named(f"A({n})")

@@ -3,11 +3,12 @@ the standard library, as the README promises, and builds no tuple from a
 generator; checked on the syntax tree of every module.  No module of the
 package or of the tests imports a name it never uses, and every public
 function or class of the package is either used by the package or
-exported.  Start-up stays cheap: no module imports dataclasses or
-datetime or calls exec or eval, and importing the command line loads
-none of dataclasses, inspect and datetime."""
+exported.  Start-up stays cheap: no module imports dataclasses, inspect,
+datetime or pathlib or calls exec or eval, and importing the command line
+loads none of them."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,7 +61,7 @@ def test_imports_only_the_standard_library(path):
             assert top in allowed or top == "k3lattices", f"{path.name}: {name}"
 
 
-SLOW_IMPORTS = ("dataclasses", "inspect", "datetime")
+SLOW_IMPORTS = ("dataclasses", "inspect", "datetime", "pathlib")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -77,10 +78,12 @@ def test_no_dataclasses_datetime_exec_or_eval(path):
 
 
 def test_cli_import_loads_no_slow_modules():
+    # -S keeps site, which may load pathlib itself, out of the interpreter
     script = ("import sys; before = set(sys.modules); import k3lattices.cli; "
               f"print(sorted(set(sys.modules) - before & set({SLOW_IMPORTS!r})))")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True).stdout
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                         text=True, check=True, env=env).stdout
     assert out == "[]\n"
 
 

@@ -234,10 +234,10 @@ def remainder_calls(monkeypatch):
     return calls
 
 
-GENERIC = WeierstrassModel.from_a4(Poly.of([3, -1, 0, 2, 0, 0, 1, 0, -2]),
-                                   Poly.of([1, 0, 4, -3, 0, 0, 0, 2, 0, 0, -1, 0, 5]))
-ADDITIVE = WeierstrassModel.from_a4(T ** 2 * Poly.of([-1, 0, 3, 0, 1, 2]),
-                                    T ** 3 * Poly.of([2, 1, 0, 0, -1, 0, 0, 0, 3]))
+GENERIC = WeierstrassModel(Poly.of([3, -1, 0, 2, 0, 0, 1, 0, -2]),
+                           Poly.of([1, 0, 4, -3, 0, 0, 0, 2, 0, 0, -1, 0, 5]))
+ADDITIVE = WeierstrassModel(T ** 2 * Poly.of([-1, 0, 3, 0, 1, 2]),
+                            T ** 3 * Poly.of([2, 1, 0, 0, -1, 0, 0, 0, 3]))
 
 
 @pytest.mark.parametrize("model, parts", [(GENERIC, [(24, 1)]), (ADDITIVE, [(16, 1), (1, 6)])],

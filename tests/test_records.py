@@ -48,9 +48,10 @@ RECORDS = {
     FixedPoint: (lambda: FixedPoint(("G1", "G2"), (2, 6)), ("curves", "exponents")),
     ChainWalk: (lambda: ChainWalk(("G7",), (POINT,), ()),
                 ("fixed_curves", "points", "conflicts")),
-    WeierstrassModel: (lambda: WeierstrassModel(Poly.of([Fraction(-27, 4)]),
-                                                Poly.of([-1, 0, 0, 0, 0, 0, 0, 1]), "i7e8"),
-                       ("a4_cubed", "a6", "label", "a4")),
+    WeierstrassModel: (lambda: WeierstrassModel(Poly.of([1]),
+                                                Poly.of([-1, 0, 0, 0, 0, 0, 0, 1]), "i7e8",
+                                                Fraction(-27, 4)),
+                       ("a4", "a6", "label", "a4_scale_cubed")),
     FiberReport: (lambda: FiberReport("0", "I7", 7, 7, "A6"),
                   ("place", "kodaira", "euler", "components", "root_contribution",
                    "count")),
@@ -140,7 +141,7 @@ def test_neron_severi_compares_by_identity():
 def test_construction_keeps_positional_keywords_and_defaults():
     assert Lattice(U, "U").label == "U" and Lattice(gram=U).label == ""
     w = WeierstrassModel(Poly.of([8]), Poly.of([1]))
-    assert (w.label, w.a4) == ("", None)
+    assert (w.label, w.a4_scale_cubed) == ("", 1)
     assert FiberSpec("0", "I1", count=3) == FiberSpec("0", "I1", "", (), 3)
     assert FiberReport("0", "I1", 1, 1, None).count == 1
     assert FibrationAnalysis("", (), 0, 20, 0).notes == ()
