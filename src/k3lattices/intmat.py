@@ -4,6 +4,12 @@ Everything here works with arbitrary-precision Python ints and
 fractions.Fraction; there is no floating point anywhere.  Matrices are
 immutable.  The normal-form routines return the transformation matrices
 as witnesses so callers can verify the factorizations directly.
+
+The Hermite form h and the Smith diagonal d are canonical.  The Hermite
+transform u is unique only when the input is square and nonsingular;
+otherwise it is one witness among many.  The Smith transforms left and
+right are pinned entry for entry by the sequence of operations, since the
+discriminant-group generators are read off right.
 """
 
 from __future__ import annotations
@@ -128,12 +134,43 @@ class NoSolution:
 NO_SOLUTION = NoSolution()
 
 
+def _subtract(target: list[int], source: list[int], f: int) -> list[int]:
+    """The row target - f * source."""
+    return [y - f * x for x, y in zip(source, target)]
+
+
+def _combine(ri: list[int], rj: list[int], x: int, y: int, p: int, q: int) -> tuple[list[int], list[int]]:
+    """The rows (x*ri + y*rj, p*ri + q*rj); unimodular when x*q - y*p = +-1."""
+    return ([x * s + y * t for s, t in zip(ri, rj)],
+            [p * s + q * t for s, t in zip(ri, rj)])
+
+
+def _clear_below(a: list[list[int]], u: list[list[int]], r: int, c: int) -> None:
+    """Clear a[i][c] for every row i below the nonzero pivot a[r][c], doing
+    each row step on u too: a subtracted multiple of row r when the pivot
+    divides the entry, else the 2x2 extended-gcd step on rows r and i."""
+    for i in range(r + 1, len(a)):
+        b = a[i][c]
+        if b == 0:
+            continue
+        p = a[r][c]
+        f, rest = divmod(b, p)
+        if rest == 0:
+            a[i] = _subtract(a[i], a[r], f)
+            u[i] = _subtract(u[i], u[r], f)
+        else:
+            g, x, y = _ext_gcd(p, b)
+            a[r], a[i] = _combine(a[r], a[i], x, y, -(b // g), p // g)
+            u[r], u[i] = _combine(u[r], u[i], x, y, -(b // g), p // g)
+
+
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
     Returns (h, u) where u is unimodular, u @ m == h, pivots are positive,
     entries above each pivot are reduced into [0, pivot), and zero rows
-    sit at the bottom.
+    sit at the bottom.  One pass per column clears the entries below the
+    pivot.
     """
     a = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
@@ -145,27 +182,15 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, m.rows):
-            if a[i][c] == 0:
-                continue
-            g, x, y = _ext_gcd(a[r][c], a[i][c])
-            p, q = a[r][c] // g, a[i][c] // g
-            a[r], a[i] = (
-                [x * a[r][k] + y * a[i][k] for k in range(m.cols)],
-                [-q * a[r][k] + p * a[i][k] for k in range(m.cols)],
-            )
-            u[r], u[i] = (
-                [x * u[r][k] + y * u[i][k] for k in range(m.rows)],
-                [-q * u[r][k] + p * u[i][k] for k in range(m.rows)],
-            )
+        _clear_below(a, u, r, c)
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
             u[r] = [-x for x in u[r]]
         for i in range(r):
             f = a[i][c] // a[r][c]
             if f != 0:
-                a[i] = [a[i][k] - f * a[r][k] for k in range(m.cols)]
-                u[i] = [u[i][k] - f * u[r][k] for k in range(m.rows)]
+                a[i] = _subtract(a[i], a[r], f)
+                u[i] = _subtract(u[i], u[r], f)
         r += 1
         if r == m.rows:
             break
@@ -183,22 +208,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatr
     left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
-    def row_op(i: int, j: int, x: int, y: int, p: int, q: int) -> None:
-        # rows i, j <- (x*ri + y*rj, p*ri + q*rj); requires x*q - y*p = +-1
-        a[i], a[j] = (
-            [x * a[i][k] + y * a[j][k] for k in range(cols)],
-            [p * a[i][k] + q * a[j][k] for k in range(cols)],
-        )
-        left[i], left[j] = (
-            [x * left[i][k] + y * left[j][k] for k in range(rows)],
-            [p * left[i][k] + q * left[j][k] for k in range(rows)],
-        )
-
     def col_op(i: int, j: int, x: int, y: int, p: int, q: int) -> None:
-        for row in a:
+        for row in a + right:
             row[i], row[j] = x * row[i] + y * row[j], p * row[i] + q * row[j]
-        for row in right:
-            row[i], row[j] = x * row[i] + y * row[j], p * row[i] + q * row[j]
+
+    def col_subtract(j: int, i: int, f: int) -> None:
+        # col j <- col j - f*col i
+        for row in a + right:
+            if row[i]:
+                row[j] -= f * row[i]
 
     n = min(rows, cols)
     for t in range(n):
@@ -207,26 +225,23 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatr
             break
         i, j = piv
         if i != t:
-            row_op(t, i, 0, 1, 1, 0)
+            a[t], a[i] = a[i], a[t]
+            left[t], left[i] = left[i], left[t]
         if j != t:
-            col_op(t, j, 0, 1, 1, 0)
+            for row in a + right:
+                row[t], row[j] = row[j], row[t]
         while True:
-            for i in range(t + 1, rows):
-                if a[i][t] == 0:
-                    continue
-                if a[i][t] % a[t][t] == 0:
-                    row_op(t, i, 1, 0, -(a[i][t] // a[t][t]), 1)
-                else:
-                    g, x, y = _ext_gcd(a[t][t], a[i][t])
-                    row_op(t, i, x, y, -(a[i][t] // g), a[t][t] // g)
+            _clear_below(a, left, t, t)
             for j in range(t + 1, cols):
-                if a[t][j] == 0:
+                b = a[t][j]
+                if b == 0:
                     continue
-                if a[t][j] % a[t][t] == 0:
-                    col_op(t, j, 1, 0, -(a[t][j] // a[t][t]), 1)
+                f, rest = divmod(b, a[t][t])
+                if rest == 0:
+                    col_subtract(j, t, f)
                 else:
-                    g, x, y = _ext_gcd(a[t][t], a[t][j])
-                    col_op(t, j, x, y, -(a[t][j] // g), a[t][t] // g)
+                    g, x, y = _ext_gcd(a[t][t], b)
+                    col_op(t, j, x, y, -(b // g), a[t][t] // g)
             if all(a[i][t] == 0 for i in range(t + 1, rows)) and \
                all(a[t][j] == 0 for j in range(t + 1, cols)):
                 break
@@ -243,11 +258,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatr
                 continue
             changed = True
             # fold the pair diag(x, y) into diag(gcd, lcm)
-            col_op(t, t + 1, 1, 1, 0, 1)          # col t <- col t + col t+1
+            col_subtract(t, t + 1, -1)            # col t <- col t + col t+1
             g, s, u = _ext_gcd(a[t][t], a[t + 1][t])
-            row_op(t, t + 1, s, u, -(a[t + 1][t] // g), a[t][t] // g)
+            p, q = -(a[t + 1][t] // g), a[t][t] // g
+            a[t], a[t + 1] = _combine(a[t], a[t + 1], s, u, p, q)
+            left[t], left[t + 1] = _combine(left[t], left[t + 1], s, u, p, q)
             f = a[t][t + 1] // a[t][t]            # exact: gcd divides the fill-in
-            col_op(t, t + 1, 1, 0, -f, 1)         # col t+1 <- col t+1 - f*col t
+            col_subtract(t + 1, t, f)             # col t+1 <- col t+1 - f*col t
 
     # pivots are produced consecutively, so zero factors already trail
     for t in range(n):

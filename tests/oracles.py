@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: recursive cofactor expansion,
 plain fraction Gaussian elimination, exhaustive subset loops.  None of it
-shares code with the package, so agreement is meaningful evidence.
+shares code with the package, so agreement is meaningful evidence.  The
+Hermite and Smith references are frozen copies of the package's earlier
+gcd-step routines: they pin outputs that are not canonical (the Smith
+transforms) rather than check them independently.
 """
 
 import math
@@ -420,3 +423,147 @@ def slot_walk(edges, fixed, order=7):
                 points.append(((c,), tuple(sorted((value, (1 - value) % order)))))
     points.sort(key=lambda p: p[0])
     return not conflicts, tuple(sorted(fixed_set)), points
+
+
+def ext_gcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def hermite_by_gcd_steps(m):
+    """The Hermite form (h, u) of an IntMatrix m as nested tuples, with the
+    2x2 extended-gcd step on every nonzero entry below a pivot: the
+    reference for intmat.hermite_normal_form (h always, u when m is square
+    and nonsingular, where u is unique)."""
+    a = [list(row) for row in m.entries]
+    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    r = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, m.rows):
+            if a[i][c] == 0:
+                continue
+            g, x, y = ext_gcd(a[r][c], a[i][c])
+            p, q = a[r][c] // g, a[i][c] // g
+            a[r], a[i] = (
+                [x * a[r][k] + y * a[i][k] for k in range(m.cols)],
+                [-q * a[r][k] + p * a[i][k] for k in range(m.cols)],
+            )
+            u[r], u[i] = (
+                [x * u[r][k] + y * u[i][k] for k in range(m.rows)],
+                [-q * u[r][k] + p * u[i][k] for k in range(m.rows)],
+            )
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            f = a[i][c] // a[r][c]
+            if f != 0:
+                a[i] = [a[i][k] - f * a[r][k] for k in range(m.cols)]
+                u[i] = [u[i][k] - f * u[r][k] for k in range(m.rows)]
+        r += 1
+        if r == m.rows:
+            break
+    return tuple(map(tuple, a)), tuple(map(tuple, u))
+
+
+def smith_by_general_steps(m):
+    """The Smith form (d, left, right) of an IntMatrix m, transforms as
+    nested tuples, with every row and column operation done as a general
+    2x2 step: the reference for intmat.smith_normal_form, whose transforms
+    must match it entry for entry (the discriminant-group generators are
+    read off right)."""
+    rows, cols = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, x, y, p, q):
+        # rows i, j <- (x*ri + y*rj, p*ri + q*rj); requires x*q - y*p = +-1
+        a[i], a[j] = (
+            [x * a[i][k] + y * a[j][k] for k in range(cols)],
+            [p * a[i][k] + q * a[j][k] for k in range(cols)],
+        )
+        left[i], left[j] = (
+            [x * left[i][k] + y * left[j][k] for k in range(rows)],
+            [p * left[i][k] + q * left[j][k] for k in range(rows)],
+        )
+
+    def col_op(i, j, x, y, p, q):
+        for row in a:
+            row[i], row[j] = x * row[i] + y * row[j], p * row[i] + q * row[j]
+        for row in right:
+            row[i], row[j] = x * row[i] + y * row[j], p * row[i] + q * row[j]
+
+    n = min(rows, cols)
+    for t in range(n):
+        piv = next(((i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j] != 0), None)
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            row_op(t, i, 0, 1, 1, 0)
+        if j != t:
+            col_op(t, j, 0, 1, 1, 0)
+        while True:
+            for i in range(t + 1, rows):
+                if a[i][t] == 0:
+                    continue
+                if a[i][t] % a[t][t] == 0:
+                    row_op(t, i, 1, 0, -(a[i][t] // a[t][t]), 1)
+                else:
+                    g, x, y = ext_gcd(a[t][t], a[i][t])
+                    row_op(t, i, x, y, -(a[i][t] // g), a[t][t] // g)
+            for j in range(t + 1, cols):
+                if a[t][j] == 0:
+                    continue
+                if a[t][j] % a[t][t] == 0:
+                    col_op(t, j, 1, 0, -(a[t][j] // a[t][t]), 1)
+                else:
+                    g, x, y = ext_gcd(a[t][t], a[t][j])
+                    col_op(t, j, x, y, -(a[t][j] // g), a[t][t] // g)
+            if all(a[i][t] == 0 for i in range(t + 1, rows)) and \
+               all(a[t][j] == 0 for j in range(t + 1, cols)):
+                break
+
+    # enforce the divisibility chain d[i] | d[i+1]
+    changed = True
+    while changed:
+        changed = False
+        for t in range(n - 1):
+            x, y = a[t][t], a[t + 1][t + 1]
+            if y % (x if x else 1) == 0 and x != 0:
+                continue
+            if x == 0 and y == 0:
+                continue
+            changed = True
+            # fold the pair diag(x, y) into diag(gcd, lcm)
+            col_op(t, t + 1, 1, 1, 0, 1)          # col t <- col t + col t+1
+            g, s, u = ext_gcd(a[t][t], a[t + 1][t])
+            row_op(t, t + 1, s, u, -(a[t + 1][t] // g), a[t][t] // g)
+            f = a[t][t + 1] // a[t][t]            # exact: gcd divides the fill-in
+            col_op(t, t + 1, 1, 0, -f, 1)         # col t+1 <- col t+1 - f*col t
+
+    # pivots are produced consecutively, so zero factors already trail
+    for t in range(n):
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
+
+    d = tuple([a[t][t] for t in range(n)])
+    return d, tuple(map(tuple, left)), tuple(map(tuple, right))

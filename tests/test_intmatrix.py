@@ -17,8 +17,10 @@ from k3lattices.intmat import (
     solve_rational,
     unimodular_inverse,
 )
+from k3lattices.lattices import make_named
 
-from oracles import cofactor_det, definiteness_sign, gauss_det, minor_gcd
+from oracles import (cofactor_det, definiteness_sign, gauss_det, hermite_by_gcd_steps, minor_gcd,
+                     smith_by_general_steps)
 
 
 def chain_gram(n):
@@ -262,3 +264,37 @@ def test_unimodular_inverse():
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix.from_rows([[1, 1]]))
+
+
+def _package_shapes():
+    """Seeded matrices at the shapes the package works at."""
+    rng = random.Random(20261019)
+    shapes = {f"{r}x{c}": random_matrix(rng, r, c) for r, c in [(16, 16), (16, 15), (22, 22)]}
+    # _adjoin: q times the identity stacked on one glue row
+    q = 7
+    shapes["adjoin-17x16"] = IntMatrix.from_rows(
+        [[q if i == j else 0 for j in range(16)] for i in range(16)]
+        + [[rng.randint(-9, 9) for _ in range(16)]])
+    shapes["chain15"] = IntMatrix.from_rows(chain_gram(15))
+    shapes["U+E8+A6"] = make_named("U + E8 + A6").gram
+    return shapes
+
+
+PACKAGE_SHAPES = _package_shapes()
+
+
+@pytest.mark.parametrize("name", PACKAGE_SHAPES)
+def test_normal_form_witnesses_at_package_shapes(name):
+    m = PACKAGE_SHAPES[name]
+    h, u = hermite_normal_form(m)
+    assert u @ m == h
+    assert abs(gauss_det(u.to_lists())) == 1
+    d, left, right = smith_normal_form(m)
+    assert left @ m @ right == IntMatrix.from_rows(
+        [[d[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)])
+    assert abs(gauss_det(left.to_lists())) == abs(gauss_det(right.to_lists())) == 1
+    assert all(x >= 0 for x in d)
+    for a, b in zip(d, d[1:]):
+        assert b == 0 if a == 0 else b % a == 0
+    assert h.entries == hermite_by_gcd_steps(m)[0]
+    assert (d, left.entries, right.entries) == smith_by_general_steps(m)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from k3lattices.intmat import IntMatrix, det_exact, hermite_normal_form, smith_normal_form
 from k3lattices.lattices import Lattice, signature
 
-from oracles import cofactor_det, eigenvalue_signs, gauss_det
+from oracles import (cofactor_det, eigenvalue_signs, gauss_det, hermite_by_gcd_steps,
+                     smith_by_general_steps)
 
 entries = st.integers(-9, 9) | st.just(0)
 sizes = st.integers(1, 6)
@@ -85,6 +86,18 @@ def test_smith_form_witness(m):
     assert all(x >= 0 for x in d)
     for x, y in zip(d, d[1:]):
         assert y % x == 0 if x else y == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(m=matrices())
+def test_normal_forms_match_the_gcd_step_oracles(m):
+    d, left, right = smith_normal_form(m)
+    assert (d, left.entries, right.entries) == smith_by_general_steps(m)
+    h, u = hermite_normal_form(m)
+    want_h, want_u = hermite_by_gcd_steps(m)
+    assert h.entries == want_h
+    if m.rows == m.cols and gauss_det(m.to_lists()) != 0:
+        assert u.entries == want_u
 
 
 @settings(deadline=None, max_examples=150)
