@@ -1,11 +1,15 @@
 """Fixed-locus bookkeeping for an order-7 purely non-symplectic action.
 
 Two independent descriptions of the fixed locus are implemented and can
-be played against each other.  The classification table lists, for each
-of the five possible invariant lattices, the isolated-point counts by
-local type and the fixed curves; the counts follow closed formulas in
-the invariant rank r, namely (r+2)/3, (r-1)/3 and (r-4)/6.  The walk
-engine instead derives the fixed points combinatorially from a
+be played against each other.  fixed_locus_table reads it off the
+invariant lattice S (Artebani-Sarti-Taki, Math. Z. 268 (2011)): even,
+of signature (1, r-1), with discriminant group (Z/7)^a, and m = (22-r)/6
+blocks of dimension 6 in the rest of the second cohomology.  With
+s = (r-4)/6 there are 2s+2, 2s+1 and s isolated points of the three
+local types below, and fixed curves whose terms 1 - g sum to s: one of
+genus g = (m-a)/2 when g >= 1, the rest rational.
+
+The walk engine instead derives the fixed points combinatorially from a
 configuration of stable rational curves: at a fixed point on curves C
 and D the local exponents satisfy a_C + a_D = 1 mod 7, a pointwise
 fixed curve carries exponent 0 along itself, and following a stable,
@@ -25,11 +29,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from ._record import Record, set_field
+from .lattices import Lattice, discriminant_group, signature
 
 ORDER = 7
-
-GENUS_RATIONAL = 0
-GENUS_ONE = 1
 
 
 class FixedLocusProfile(Record):
@@ -50,50 +52,45 @@ class FixedLocusProfile(Record):
 
     @property
     def euler(self) -> int:
-        return self.points + sum(2 for g in self.curves if g == GENUS_RATIONAL)
+        return self.points + sum(2 - 2 * g for g in self.curves)
 
 
-def _point_counts(rank: int) -> tuple[int, int, int]:
-    counts = []
-    for num, den in ((rank + 2, 3), (rank - 1, 3), (rank - 4, 6)):
-        if num < 0 or num % den:
-            raise ValueError(f"rank {rank} admits no point-count solution")
-        counts.append(num // den)
-    return tuple(counts)
+def fixed_locus_table(invariant: Lattice) -> FixedLocusProfile:
+    """The fixed locus of an order-7 purely non-symplectic action with this
+    invariant lattice.  By the oddity formula the signature 2 - r mod 8
+    makes a and m agree mod 2, so g = (m - a)/2 is exact."""
+    r = invariant.rank
+    m, rest = divmod(22 - r, ORDER - 1)
+    if rest or m < 1:
+        raise ValueError(f"22 - {r} is not a positive multiple of {ORDER - 1}")
+    if not invariant.is_even:
+        raise ValueError(f"{invariant.label} is not even")
+    sig = signature(invariant)
+    if (sig.positive, sig.negative, sig.zero) != (1, r - 1, 0):
+        raise ValueError(f"{invariant.label} does not have signature (1, {r - 1})")
+    factors = discriminant_group(invariant).invariant_factors
+    if any(d != ORDER for d in factors):
+        raise ValueError(f"{invariant.label} is not {ORDER}-elementary: {factors}")
+    a = len(factors)
+    if a > m:
+        raise ValueError(f"{invariant.label} has a = {a} above m = {m}")
+    s = (r - 4) // 6
+    g = (m - a) // 2
+    curves = (g,) + (0,) * (s + g - 1) if g >= 1 else (0,) * s
+    return FixedLocusProfile(invariant.label, r, 2 * s + 2, 2 * s + 1, s, curves)
 
 
-_TABLE: dict[str, tuple[int, tuple[int, ...]]] = {
-    "U + K7": (4, (GENUS_ONE,)),
-    "U(7) + K7": (4, ()),
-    "U + E8": (10, (GENUS_ONE, GENUS_RATIONAL)),
-    "U(7) + E8": (10, (GENUS_RATIONAL,)),
-    "U + E8 + A6": (16, (GENUS_RATIONAL, GENUS_RATIONAL)),
-}
-
-
-def table_rows() -> tuple[str, ...]:
-    return tuple(_TABLE)
-
-
-def fixed_locus_table(name: str) -> FixedLocusProfile:
-    if name not in _TABLE:
-        known = ", ".join(_TABLE)
-        raise ValueError(f"unknown invariant lattice {name!r}; rows: {known}")
-    rank, curves = _TABLE[name]
-    n26, n35, n44 = _point_counts(rank)
-    return FixedLocusProfile(name, rank, n26, n35, n44, curves)
-
-
-def lefschetz_check(profile: FixedLocusProfile, transcendental_rank: int) -> bool:
+def lefschetz_check(profile: FixedLocusProfile) -> bool:
     """Topological fixed-point count against the eigenvalue bookkeeping.
 
-    The non-invariant part of the second cohomology splits into
-    6-dimensional blocks each contributing trace -1, so the fixed locus
-    must have Euler number 2 + r - transcendental_rank/6.
+    The non-invariant part of the second cohomology, of rank 22 - r,
+    splits into 6-dimensional blocks each contributing trace -1, so the
+    fixed locus must have Euler number 2 + r - (22 - r)/6.
     """
-    if transcendental_rank % 6:
+    blocks, rest = divmod(22 - profile.rank, ORDER - 1)
+    if rest:
         raise ValueError("the non-invariant rank splits into blocks of 6")
-    return profile.euler == 2 + profile.rank - transcendental_rank // 6
+    return profile.euler == 2 + profile.rank - blocks
 
 
 class FixedPoint(Record):
@@ -193,7 +190,7 @@ def walk_chain(edges: Iterable[tuple[str, str]], fixed: Iterable[str]) -> ChainW
 
 
 def count_check(walk: ChainWalk, profile: FixedLocusProfile) -> bool:
-    """Walk-derived counts must reproduce the table row exactly."""
+    """Walk-derived counts must reproduce the derived row exactly."""
     expected = (profile.n26, profile.n35, profile.n44, len(profile.curves))
     return walk.consistent and walk.counts() == expected
 

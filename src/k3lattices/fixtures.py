@@ -61,6 +61,9 @@ CHAINS: dict[str, tuple[str, ...]] = {
                     "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"),
 }
 
+INVARIANT_LATTICES = ("U + K7", "U(7) + K7", "U + E8", "U(7) + E8", "U + E8 + A6")
+"""The five invariant lattices of an order-7 purely non-symplectic action."""
+
 WALK_FIXED: tuple[str, ...] = ("G7", "T6")
 
 # isolated fixed points of the reference walk, by unordered exponent pair

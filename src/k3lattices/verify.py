@@ -20,13 +20,13 @@ from .fixedlocus import (
     fixed_locus_table,
     fixed_pair_search,
     lefschetz_check,
-    table_rows,
 )
 from .fixtures import (
     CHAINS,
     EXPECTED_P26,
     EXPECTED_P35,
     EXPECTED_P44,
+    INVARIANT_LATTICES,
     NS_RANK,
     chain_glue,
     chain_sublattice,
@@ -215,10 +215,10 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         "U + E8": (4, 3, 1), "U(7) + E8": (4, 3, 1),
         "U + E8 + A6": (6, 5, 2),
     }
+    profiles = {name: fixed_locus_table(make_named(name)) for name in INVARIANT_LATTICES}
     table_ok = True
     totals = []
-    for name in table_rows():
-        profile = fixed_locus_table(name)
+    for name, profile in profiles.items():
         table_ok &= (profile.n26, profile.n35, profile.n44) == expected_counts[name]
         totals.append(profile.points)
     table_ok &= totals == [3, 3, 8, 8, 13]
@@ -227,11 +227,10 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         "isolated points, 3 + 3 + 8 + 8 + 13 in total",
         table_ok, {"point_totals": totals})
 
-    lefschetz_ok = all(lefschetz_check(profile, 22 - profile.rank)
-                       for profile in map(fixed_locus_table, table_rows()))
+    lefschetz_ok = all(map(lefschetz_check, profiles.values()))
     add("11-lefschetz",
         "the fixed-locus Euler number equals 2 + r - (22 - r)/6 on every row",
-        lefschetz_ok, {"rows": len(table_rows())})
+        lefschetz_ok, {"rows": len(profiles)})
 
     walk = reference_walk()
     placement_ok = (walk.consistent
@@ -239,7 +238,7 @@ def run_verification(perturb: bool = False) -> VerificationReport:
                     and walk.isolated("P35") == EXPECTED_P35
                     and walk.isolated("P44") == EXPECTED_P44
                     and walk.fixed_curves == ("G7", "T6")
-                    and count_check(walk, fixed_locus_table("U + E8 + A6")))
+                    and count_check(walk, profiles["U + E8 + A6"]))
     pairs = fixed_pair_search(15)
     search_ok = (pairs == [(3, 10), (4, 11), (5, 12), (6, 13)]
                  and all(q - p == 7 for p, q in pairs))

@@ -425,6 +425,46 @@ def slot_walk(edges, fixed, order=7):
     return not conflicts, tuple(sorted(fixed_set)), points
 
 
+def _zeta_product(a, b):
+    """Product of two coefficient lists of length 7 in Q[z]/(z^7 - 1)."""
+    out = [Fraction(0)] * 7
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % 7] += x * y
+    return out
+
+
+def _zeta_inverse_one_minus(i):
+    """1/(1 - z^i) in Q(z) = Q[z]/Phi_7, from 1/(1 - z) = -(1/7) sum k z^k."""
+    out = [Fraction(0)] * 7
+    for k in range(7):
+        out[i * k % 7] += Fraction(-k, 7)
+    return out
+
+
+def holomorphic_lefschetz_sides(counts, curves):
+    """Both sides of the holomorphic Lefschetz identity of an order-7
+    purely non-symplectic action, with z a primitive 7th root of unity:
+
+        1 + z^6 = sum n_ij / ((1 - z^i)(1 - z^j)) + s (1 + z) / (1 - z)^2
+
+    counts are the isolated-point counts (n26, n35, n44) and s is the sum
+    of 1 - g over the genera g in curves.  Each side is returned as its
+    coordinates on 1, z, ..., z^5, read off a list mod z^7 - 1 through
+    z^6 = -(1 + z + ... + z^5); the identity holds iff the two agree."""
+    lhs = [1, 0, 0, 0, 0, 0, 1]
+    rhs = [Fraction(0)] * 7
+    inverse = _zeta_inverse_one_minus
+    for n, (i, j) in zip(counts, ((2, 6), (3, 5), (4, 4))):
+        term = _zeta_product(inverse(i), inverse(j))
+        rhs = [x + n * y for x, y in zip(rhs, term)]
+    s = sum(1 - g for g in curves)
+    term = _zeta_product([1, 1, 0, 0, 0, 0, 0], _zeta_product(inverse(1), inverse(1)))
+    rhs = [x + s * y for x, y in zip(rhs, term)]
+    return (tuple([x - lhs[6] for x in lhs[:6]]),
+            tuple([x - rhs[6] for x in rhs[:6]]))
+
+
 def ext_gcd(a, b):
     """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
     old_r, r = a, b

@@ -12,10 +12,10 @@ from itertools import product
 from k3lattices.cli import main
 from k3lattices.fibration import analyze_k3
 from k3lattices.fixedlocus import fixed_locus_table, fixed_pair_search, \
-    lefschetz_check, table_rows
-from k3lattices.fixtures import CHAINS, NS_RANK, chain_glue, chain_sublattice, \
-    glue_target, overlattice_pair, reference_neron_severi, reference_walk, \
-    weierstrass_model
+    lefschetz_check
+from k3lattices.fixtures import CHAINS, INVARIANT_LATTICES, NS_RANK, chain_glue, \
+    chain_sublattice, glue_target, overlattice_pair, reference_neron_severi, \
+    reference_walk, weierstrass_model
 from k3lattices.intmat import NO_SOLUTION, IntMatrix, det_exact, solve_rational
 from k3lattices.lattices import direct_sum, discriminant_group, make_named, \
     signature
@@ -196,18 +196,17 @@ def test_c10_fixed_locus_table():
                     ("U + E8", (4, 3, 1), 8),
                     ("U(7) + E8", (4, 3, 1), 8),
                     ("U + E8 + A6", (6, 5, 2), 13)]
-        assert list(table_rows()) == [name for name, _, _ in expected]
+        assert list(INVARIANT_LATTICES) == [name for name, _, _ in expected]
         for name, counts, total in expected:
-            profile = fixed_locus_table(name)
+            profile = fixed_locus_table(make_named(name))
             assert (profile.n26, profile.n35, profile.n44) == counts
             assert profile.points == total
 
 
 def test_c11_lefschetz_rows():
     with criterion(11, "Lefschetz consistency holds on all five rows"):
-        for name in table_rows():
-            profile = fixed_locus_table(name)
-            assert lefschetz_check(profile, 22 - profile.rank)
+        for name in INVARIANT_LATTICES:
+            assert lefschetz_check(fixed_locus_table(make_named(name)))
 
 
 def test_c12_walk_placement_and_search():

@@ -1,4 +1,4 @@
-"""Tests for the fixed-locus table and the exponent-walk engine."""
+"""Tests for the derived fixed-locus rows and the exponent-walk engine."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +10,17 @@ from k3lattices.fixedlocus import (
     fixed_pair_search,
     lefschetz_check,
     linear_chain_edges,
-    table_rows,
     walk_chain,
 )
-from k3lattices.fixtures import WALK_FIXED, reference_curve_edges, reference_walk
+from k3lattices.fixtures import (
+    INVARIANT_LATTICES,
+    WALK_FIXED,
+    reference_curve_edges,
+    reference_walk,
+)
+from k3lattices.lattices import discriminant_group, make_named
 
-from oracles import slot_walk
+from oracles import holomorphic_lefschetz_sides, minor_gcd, slot_walk
 
 # the known placement of the thirteen isolated points on the reference
 # configuration, grouped by local exponent pair, listed by carrier curves
@@ -26,7 +31,21 @@ PLACEMENT_35 = (("G2", "G3"), ("G4", "G5"), ("T1", "T2"),
 PLACEMENT_44 = (("G3", "G4"), ("T2", "T3"))
 
 
-# --- classification table --------------------------------------------------
+def derived_rows():
+    return [fixed_locus_table(make_named(name)) for name in INVARIANT_LATTICES]
+
+
+# --- rows derived from the invariant lattices -------------------------------
+
+def test_derived_rows_match_the_classification():
+    assert derived_rows() == [
+        FixedLocusProfile("U + K7", 4, 2, 1, 0, (1,)),
+        FixedLocusProfile("U(7) + K7", 4, 2, 1, 0, ()),
+        FixedLocusProfile("U + E8", 10, 4, 3, 1, (1, 0)),
+        FixedLocusProfile("U(7) + E8", 10, 4, 3, 1, (0,)),
+        FixedLocusProfile("U + E8 + A6", 16, 6, 5, 2, (0, 0)),
+    ]
+
 
 def test_table_point_counts():
     expected = {
@@ -36,48 +55,82 @@ def test_table_point_counts():
         "U(7) + E8": (4, 3, 1),
         "U + E8 + A6": (6, 5, 2),
     }
-    assert set(table_rows()) == set(expected)
+    assert set(INVARIANT_LATTICES) == set(expected)
     for name, counts in expected.items():
-        profile = fixed_locus_table(name)
+        profile = fixed_locus_table(make_named(name))
         assert (profile.n26, profile.n35, profile.n44) == counts
 
 
 def test_table_totals():
-    totals = [fixed_locus_table(name).points for name in table_rows()]
-    assert totals == [3, 3, 8, 8, 13]
+    assert [profile.points for profile in derived_rows()] == [3, 3, 8, 8, 13]
 
 
 def test_table_matches_rank_formulas():
-    for name in table_rows():
-        p = fixed_locus_table(name)
+    for p in derived_rows():
         r = p.rank
         assert p.n26 == (r + 2) // 3 and (r + 2) % 3 == 0
         assert p.n35 == (r - 1) // 3 and (r - 1) % 3 == 0
         assert p.n44 == (r - 4) // 6 and (r - 4) % 6 == 0
 
 
-def test_table_unknown_row():
+# each lattice fails exactly one condition of the classification
+@pytest.mark.parametrize("name", [
+    "U + A6",                        # 22 - 8 is not a multiple of 6
+    "Z(7) + Z(-1) + Z(-1) + Z(-1)",  # odd
+    "U + U + U + U + U",             # signature (5, 5)
+    "U(49) + K7",                    # invariant factors 7, 49, 49
+    "U + K7 + K7 + K7 + K7",         # a = 4 above m = 2
+], ids=["rank", "odd", "signature", "not-7-elementary", "a-above-m"])
+def test_table_rejects_a_lattice_outside_the_classification(name):
     with pytest.raises(ValueError):
-        fixed_locus_table("U + A6")
+        fixed_locus_table(make_named(name))
+
+
+def test_a_and_m_agree_mod_2_on_every_row():
+    for name in INVARIANT_LATTICES:
+        lattice = make_named(name)
+        a = len(discriminant_group(lattice).invariant_factors)
+        assert (22 - lattice.rank) // 6 % 2 == a % 2
+
+
+def test_derived_counts_satisfy_the_holomorphic_lefschetz_identity():
+    for profile in derived_rows():
+        counts = (profile.n26, profile.n35, profile.n44)
+        lhs, rhs = holomorphic_lefschetz_sides(counts, profile.curves)
+        assert lhs == rhs
+        lhs, rhs = holomorphic_lefschetz_sides(counts, profile.curves + (0,))
+        assert lhs != rhs
+
+
+def test_holomorphic_lefschetz_identity_forces_the_point_counts():
+    # the three point terms are linearly independent over Q, so for a
+    # given sum of 1 - g over the curves at most one (n26, n35, n44) fits
+    terms = [holomorphic_lefschetz_sides(unit, ())[1]
+             for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    assert minor_gcd([[int(49 * x) for x in term] for term in terms], 3) != 0
+
+
+def test_euler_counts_two_minus_twice_the_genus_per_curve():
+    assert FixedLocusProfile("x", 4, 1, 1, 1, (2,)).euler == 1
+    assert FixedLocusProfile("x", 4, 1, 1, 1, (1, 0)).euler == 5
 
 
 # --- Lefschetz consistency --------------------------------------------------
 
 def test_lefschetz_all_rows():
-    for name in table_rows():
-        profile = fixed_locus_table(name)
-        assert lefschetz_check(profile, 22 - profile.rank)
+    for profile in derived_rows():
+        assert lefschetz_check(profile)
 
 
 def test_lefschetz_rejects_corrupted_profile():
     bad = FixedLocusProfile("corrupted", 10, 5, 3, 1, (0,))
-    assert not lefschetz_check(bad, 12)
+    assert not lefschetz_check(bad)
 
 
 def test_lefschetz_needs_six_block_rank():
-    profile = fixed_locus_table("U + E8")
+    profile = FixedLocusProfile("rank 9", 9, 3, 2, 1, (0,))
     with pytest.raises(ValueError):
-        lefschetz_check(profile, 13)
+        lefschetz_check(profile)
 
 
 # --- the reference walk ------------------------------------------------------
@@ -107,8 +160,8 @@ def test_reference_walk_exponent_arithmetic():
 
 def test_reference_walk_matches_table_row():
     walk = reference_walk()
-    assert count_check(walk, fixed_locus_table("U + E8 + A6"))
-    assert not count_check(walk, fixed_locus_table("U + E8"))
+    assert count_check(walk, fixed_locus_table(make_named("U + E8 + A6")))
+    assert not count_check(walk, fixed_locus_table(make_named("U + E8")))
 
 
 # the curve graph of i7e8: the I7 cycle, the II* tree and the section
@@ -172,7 +225,7 @@ def test_empty_configuration():
     walk = walk_chain([], [])
     assert walk.consistent
     assert walk.counts() == (0, 0, 0, 0)
-    assert not count_check(walk, fixed_locus_table("U + E8 + A6"))
+    assert not count_check(walk, fixed_locus_table(make_named("U + E8 + A6")))
 
 
 # --- exhaustive chain placement ----------------------------------------------
@@ -191,7 +244,7 @@ def test_fixed_pair_separation_six_fails():
     edges = linear_chain_edges(15)
     walk = walk_chain(edges, ("C3", "C9"))
     assert not walk.consistent
-    assert not count_check(walk, fixed_locus_table("U + E8 + A6"))
+    assert not count_check(walk, fixed_locus_table(make_named("U + E8 + A6")))
 
 
 def test_fixed_pair_search_smaller_chains():
