@@ -29,10 +29,10 @@ from .lattices import Lattice
 from .polynomials import (
     Poly,
     Rational,
-    extract_rational_roots,
     format_poly,
     primitive_integer,
     squarefree_parts,
+    squarefree_rational_roots,
     uniform_valuations,
 )
 from .sublattices import Sublattice
@@ -195,7 +195,7 @@ def _classify_roots(w: WeierstrassModel, modulus: Poly, vd: int) -> list[FiberRe
     reports = []
     for h, v4, v6 in _uniform_pieces(w, modulus, vd):
         fiber = _fiber_type(v4, v6, vd)
-        roots, rest = extract_rational_roots(h)
+        roots, rest = squarefree_rational_roots(h)
         reports.extend(FiberReport(str(r), *fiber) for r in roots)
         if rest.degree > 0:
             reports.append(FiberReport(format_poly(primitive_integer(rest)),

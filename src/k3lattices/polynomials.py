@@ -270,6 +270,8 @@ def squarefree_parts(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     if f.degree == 0:
         return f.leading, []
     g = _gcd_ints(f.ints, f.derivative().ints)
+    if len(g) == 1:
+        return f.leading, [(_monic(f.ints), 1)]
     w = _divide(f.ints, g)[0]
     out, mult = [], 1
     while len(w) > 1:
@@ -323,20 +325,15 @@ def _simple_roots_mod_p(cs: list[int], deriv: list[int]) -> tuple[int, list[int]
     every root of cs mod p is simple, with those roots.
 
     Only primes dividing the discriminant have a repeated root, so the
-    search ends for squarefree input; anything else is caught by one gcd
-    the first time a repeated root shows up (deriv need not be primitive:
-    only the degree of that gcd counts).
+    search ends for squarefree cs; for cs with a repeated rational root it
+    never ends, which is why the caller must prove squarefreeness first.
     """
-    checked = False
     for p in _primes():
         if cs[-1] % p == 0:
             continue
         roots = [x for x in range(p) if _value_mod(cs, x, p) == 0]
         if all(_value_mod(deriv, x, p) for x in roots):
             return p, roots
-        if not checked and len(_gcd_ints(cs, deriv)) > 1:
-            raise ValueError("rational roots need a squarefree polynomial")
-        checked = True
 
 
 def _rational_from_residue(x: int, m: int, bound: int) -> tuple[int, int]:
@@ -362,15 +359,17 @@ def _homogeneous(cs: Sequence[int], a: int, b: int) -> int:
     return acc
 
 
-def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
-    """Rational roots of a squarefree polynomial and the rootless cofactor.
+def squarefree_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
+    """Rational roots of f and the rootless cofactor, for an f the caller
+    knows to be squarefree (a Yun piece or a factor of one); nothing here
+    checks that, and a repeated rational root makes the prime search run
+    forever.
 
     The roots come from p-adic lifting (Loos, SIAM J. Comput. 1983): every
     rational root a/b of the primitive form c_0..c_n has a | c_0 and
     b | c_n, so it reduces to a simple root mod a prime p not dividing c_n.
     Newton's iteration lifts that root until the modulus exceeds
-    2*|c_0|*|c_n|, where a/b is unique and is recovered exactly.  A
-    repeated rational root raises ValueError.
+    2*|c_0|*|c_n|, where a/b is unique and is recovered exactly.
     """
     if f.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -381,8 +380,6 @@ def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
     if cs[0] == 0:
         roots.append(Fraction(0))
         cs = cs[1:]
-        if cs[0] == 0:
-            raise ValueError("rational roots need a squarefree polynomial")
     rest, denominators = cs, 1
     if len(cs) > 1:
         deriv = [k * c for k, c in enumerate(cs)][1:]
@@ -403,6 +400,15 @@ def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
         return [], f
     # dividing by the monic factors t - r keeps the leading coefficient of f
     return sorted(roots), _scaled(rest, f.content * denominators)
+
+
+def extract_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
+    """Rational roots of a squarefree polynomial and the rootless cofactor,
+    as squarefree_rational_roots, after one gcd(f, f') proves f squarefree;
+    a polynomial that is not squarefree raises ValueError."""
+    if f.degree > 0 and len(_gcd_ints(f.ints, f.derivative().ints)) > 1:
+        raise ValueError("rational roots need a squarefree polynomial")
+    return squarefree_rational_roots(f)
 
 
 def format_poly(f: Poly) -> str:

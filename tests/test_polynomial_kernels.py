@@ -1,8 +1,9 @@
 """Generated checks of the integer root and gcd kernels against the
 divisor-enumeration and Fraction-Euclid oracles."""
 
-import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -30,30 +31,36 @@ def linear(a, b):
     return Poly.of([-a, b])
 
 
-def repeated_rational_root(f):
-    """Whether the oracle sees a rational root of gcd(f, f')."""
-    g = euclid_gcd(f.coeffs, f.derivative().coeffs)
-    if len(g) <= 1:
-        return False
-    scale = math.lcm(*(c.denominator for c in g))
-    return bool(divisor_rational_roots([c * scale for c in g]))
+class NoAnswer(BaseException):
+    """A BaseException, so Hypothesis reports it at once instead of
+    shrinking through one more wait per candidate."""
+
+
+@contextmanager
+def ends_within(seconds=20):
+    """Fail the test when the block runs longer than seconds, so a root
+    search on non-squarefree input that never ends fails the suite
+    instead of hanging it."""
+    def expire(signum, frame):
+        raise NoAnswer(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def check_roots(f, expected):
     """extract_rational_roots(f) against the expected roots, or, when f is
     not squarefree, against the documented ValueError."""
-    squarefree = len(euclid_gcd(f.coeffs, f.derivative().coeffs)) == 1
-    if not squarefree:
-        if repeated_rational_root(f):
-            with pytest.raises(ValueError):
-                extract_rational_roots(f)
-            return
-        try:
-            roots, cofactor = extract_rational_roots(f)
-        except ValueError:
-            return
-    else:
-        roots, cofactor = extract_rational_roots(f)
+    if len(euclid_gcd(f.coeffs, f.derivative().coeffs)) > 1:
+        with ends_within(), pytest.raises(ValueError, match="squarefree"):
+            extract_rational_roots(f)
+        return
+    roots, cofactor = extract_rational_roots(f)
     assert roots == expected
     rebuilt = cofactor * product(Poly.of([-r, 1]) for r in roots)
     assert rebuilt == f
@@ -117,7 +124,7 @@ def test_prime_search_skips_primes_dividing_the_leading_coefficient():
 
 
 def test_squarefree_input_with_repeated_roots_mod_small_primes():
-    # t^2 + 1 = (t + 1)^2 mod 2; the search pays one gcd and moves on
+    # t^2 + 1 = (t + 1)^2 mod 2, so the search skips 2 and answers mod 3
     f = (T - Poly.constant(2)) * (T * T + Poly.constant(1))
     roots, cofactor = extract_rational_roots(f)
     assert roots == [Fraction(2)]
@@ -131,19 +138,16 @@ def test_squarefree_input_with_repeated_roots_mod_small_primes():
     (Poly.of([-1, 3])) ** 2 * (Poly.of([2, 0, 30030])),
 ], ids=["t2-t1cubed-t2p1", "t1-squared", "t-squared", "third-squared-30030"])
 def test_repeated_rational_root_raises(f):
-    with pytest.raises(ValueError, match="squarefree"):
+    with ends_within(), pytest.raises(ValueError, match="squarefree"):
         extract_rational_roots(f)
 
 
 def test_repeated_irrational_factor_ends():
-    # no repeated rational root: either an answer or the documented error
+    # no repeated rational root, so the prime search alone would answer;
+    # the gcd up front rejects it all the same
     f = (T * T + Poly.constant(1)) ** 2 * (T - Poly.constant(3))
-    try:
-        roots, cofactor = extract_rational_roots(f)
-    except ValueError:
-        return
-    assert roots == [Fraction(3)]
-    assert cofactor * (T - Poly.constant(3)) == f
+    with ends_within(), pytest.raises(ValueError, match="squarefree"):
+        extract_rational_roots(f)
 
 
 def random_poly(rng, degree):
@@ -272,3 +276,45 @@ def test_classification_splits_only_additive_places(monkeypatch, model, moduli):
     assert calls == moduli
     assert [(r.kodaira, r.count) for r in analysis.fibers if r.place != "inf"] == \
         ([("I1", 24)] if model is GENERIC else [("I0*", 1), ("I1", 16)])
+
+
+# --- one squarefree proof per piece ---------------------------------------------------
+
+SQUAREFREE_24 = WeierstrassModel(Poly.of([1, 0, 0, 0, 0, 0, 0, 0, 1]),
+                                 Poly.of([1] + [0] * 11 + [1]))
+
+
+def test_a_squarefree_discriminant_is_proved_squarefree_once(monkeypatch):
+    # a4 = 1 + t^8, a6 = 1 + t^12: Delta is squarefree of degree 24 and
+    # has repeated roots mod small primes, yet only Yun's gcd(Delta,
+    # Delta') may build an image mod p
+    calls = []
+    image = polynomials._constant_image
+
+    def counted(x, y):
+        calls.append((x, y))
+        return image(x, y)
+
+    monkeypatch.setattr(polynomials, "_constant_image", counted)
+    analysis = fibration.analyze_k3(SQUAREFREE_24, NS_RANK)
+    assert len(calls) == 1
+    assert [(r.kodaira, r.count) for r in analysis.fibers] == [("I1", 24)]
+
+
+def full_yun_loop(f):
+    """Yun's loop with every step run, also when gcd(f, f') = 1."""
+    g = poly_gcd(f, f.derivative())
+    w, out, mult = f // g, [], 1
+    while w.degree > 0:
+        y = poly_gcd(w, g)
+        if (w // y).degree > 0:
+            out.append(((w // y).monic(), mult))
+        w, g, mult = y, g // y, mult + 1
+    return f.leading, out
+
+
+@pytest.mark.parametrize("model", [SQUAREFREE_24, ADDITIVE],
+                         ids=["squarefree", "t6-times-squarefree"])
+def test_squarefree_parts_match_the_full_yun_loop(model):
+    delta = model.discriminant
+    assert squarefree_parts(delta) == full_yun_loop(delta)
