@@ -2,12 +2,15 @@
 
 Three layers live here.  Weierstrass models y^2 = x^3 + a4*x + a6 are
 classified place by place through the valuation triple
-(v(a4), v(a6), v(Delta)), with the place at infinity read off through
-the K3 degree complements (8, 12, 24).  Classified configurations are
-summarized against the Shioda-Tate formula.  Finally, a fibration with
-labeled components and a zero-section is turned into its intersection
-lattice on the basis {S, F, non-identity components}, from which linear
-chains of (-2)-curves can be extracted as sublattices.
+(v(a4), v(a6), v(Delta)).  The places t = 0 and t = infinity are read
+off the two ends of the coefficient tuples: the counts of low-order
+zeros, and the K3 degree complements (8, 12, 24).  Every other finite
+place is read off the Yun pieces of Delta / t^k.  Classified
+configurations are summarized against the Shioda-Tate formula.
+Finally, a fibration with labeled components and a zero-section is
+turned into its intersection lattice on the basis {S, F, non-identity
+components}, from which linear chains of (-2)-curves can be extracted
+as sublattices.
 
 The x coefficient is c*a4 for a polynomial a4 and a constant c given
 through its cube, a nonzero rational, so that a model whose x coefficient
@@ -77,6 +80,16 @@ def _infinite_valuations(w: WeierstrassModel) -> tuple[int | None, int | None, i
     v4 = None if w.a4.is_zero else 8 - w.a4.degree
     v6 = None if w.a6.is_zero else 12 - w.a6.degree
     return v4, v6, 24 - w.discriminant.degree
+
+
+def _order_at_zero(f: Poly) -> int | None:
+    """The order of f at t = 0, its count of low-order zero coefficients;
+    None for the zero polynomial."""
+    return None if f.is_zero else next(i for i, c in enumerate(f.ints) if c)
+
+
+def _valuations_at_zero(w: WeierstrassModel) -> tuple[int | None, int | None, int]:
+    return _order_at_zero(w.a4), _order_at_zero(w.a6), _order_at_zero(w.discriminant)
 
 
 def _kodaira_from_valuations(v4: int | None, v6: int | None, vd: int) -> str:
@@ -236,17 +249,26 @@ def _report_key(r: FiberReport):
 def analyze_k3(w: WeierstrassModel, ns_rank: int) -> FibrationAnalysis:
     """Classify every singular place and run the Shioda-Tate accounting.
 
-    Conjugate irrational places are bundled per irreducible-factor handle
-    with a count.  The reported Mordell-Weil rank is the one implied by
-    the target Neron-Severi rank; a negative value or an Euler sum other
-    than 24 marks the model as inconsistent with that target.
+    The place t = 0 is read off the low-order zeros of a4, a6 and
+    Delta = t^k * rest, and infinity off their degrees; the other finite
+    places are the roots of the Yun pieces of rest.  Conjugate irrational
+    places are bundled per irreducible-factor handle with a count.  A
+    model that is not minimal at a finite place raises
+    NonMinimalModelError; at infinity it only leaves a note.  The
+    reported Mordell-Weil rank is the one implied by the target
+    Neron-Severi rank; a negative value or an Euler sum other than 24
+    marks the model as inconsistent with that target.
     """
     reports: list[FiberReport] = []
     notes: list[str] = []
-    _, pieces = squarefree_parts(w.discriminant)
+    delta = w.discriminant
+    v4, v6, k = _valuations_at_zero(w)
+    if k > 0:
+        reports.append(FiberReport("0", *_fiber_type(v4, v6, k)))
+    _, pieces = squarefree_parts(Poly(delta.ints[k:], delta.content))
     for piece, mult in pieces:
         reports.extend(_classify_roots(w, piece, mult))
-    if 24 - w.discriminant.degree > 0:
+    if 24 - delta.degree > 0:
         try:
             reports.append(FiberReport("inf", *_fiber_type(*_infinite_valuations(w))))
         except NonMinimalModelError as err:

@@ -369,7 +369,9 @@ def squarefree_rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
     rational root a/b of the primitive form c_0..c_n has a | c_0 and
     b | c_n, so it reduces to a simple root mod a prime p not dividing c_n.
     Newton's iteration lifts that root until the modulus exceeds
-    2*|c_0|*|c_n|, where a/b is unique and is recovered exactly.
+    2*|c_0|*|c_n|, where a/b is unique and is recovered exactly.  The
+    branch for c_0 = 0 serves only extract_rational_roots: the fibration
+    path reads t = 0 off the coefficients and never passes a multiple of t.
     """
     if f.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")

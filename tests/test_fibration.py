@@ -13,6 +13,7 @@ from k3lattices.fibration import (
     FiberGraph,
     NonMinimalModelError,
     WeierstrassModel,
+    _valuations_at_zero,
     analyze_k3,
     build_neron_severi,
     check_affine,
@@ -396,26 +397,49 @@ def test_fibration_json_rejects_malformed():
             fiber_specs_from_json(json.loads(text))
 
 
+ADDITIVE_ORDERS = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 4), (3, 5)]
+
+
+def times_t_minus_1(coeffs, n):
+    """coeffs * (t - 1)^n, ascending."""
+    for _ in range(n):
+        coeffs = fraction_product(coeffs, [-1, 1])
+    return coeffs
+
+
 @st.composite
 def weierstrass_coefficients(draw):
     """(a4, a6) as ascending integer lists: generic; t^i * f and t^j * g,
-    additive at 0 when f(0) g(0) != 0; or -3 h^2 and 2 h^3 + t^n * g,
-    where Delta = -432 t^n g (4 h^3 + t^n g) makes 0 a place of type I_n
-    when h(0) g(0) != 0."""
+    additive at 0 when f(0) g(0) != 0, and non-minimal there when i >= 4
+    and j >= 6; t^i (t - 1)^i * f and t^j (t - 1)^j * g, where 0 and 1
+    share one multiplicity of Delta; a zero a4 or a6 beside t^j * g or
+    t^i * f; or -3 h^2 and 2 h^3 + t^n * g, where
+    Delta = -432 t^n g (4 h^3 + t^n g) makes 0 a place of type I_n when
+    h(0) g(0) != 0."""
     small = st.lists(st.integers(-3, 3), min_size=1, max_size=5)
-    kind = draw(st.sampled_from(["generic", "additive", "multiplicative"]))
+    kind = draw(st.sampled_from(["generic", "additive", "non-minimal", "shared",
+                                 "zero", "multiplicative"]))
     if kind == "multiplicative":
         h, g, n = draw(small)[:3], draw(small), draw(st.integers(1, 6))
         a4 = [-3 * c for c in fraction_product(h, h)]
         a6 = fraction_sum([2 * c for c in fraction_product(fraction_product(h, h), h)],
                           [0] * n + g)
         return a4, a6
-    i, j = (0, 0) if kind == "generic" else draw(
-        st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 4), (3, 5)]))
+    if kind == "shared":
+        i, j = draw(st.sampled_from(ADDITIVE_ORDERS))
+        return (times_t_minus_1([0] * i + draw(small)[:3], i),
+                times_t_minus_1([0] * j + draw(small)[:3], j))
+    if kind == "zero":
+        if draw(st.booleans()):
+            return [], [0] * draw(st.integers(1, 7)) + draw(small)
+        return [0] * draw(st.integers(1, 4)) + draw(small), []
+    if kind == "non-minimal":
+        return [0] * 4 + draw(small), [0] * draw(st.integers(6, 7)) + draw(small) + [1]
+    i, j = (0, 0) if kind == "generic" else draw(st.sampled_from(ADDITIVE_ORDERS))
     return [0] * i + draw(small), [0] * j + draw(small) + draw(small)[:2]
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=200)
 @given(coeffs=weierstrass_coefficients())
 def test_analyze_k3_matches_the_valuation_oracle(coeffs):
     a4, a6 = coeffs
@@ -437,3 +461,9 @@ def test_analyze_k3_matches_the_valuation_oracle(coeffs):
     assert rational == expected
     finite = [r for r in analysis.fibers if r.place != "inf"]
     assert sum(r.euler * r.count for r in finite) == w.discriminant.degree
+
+
+def test_valuations_at_zero_are_read_off_the_low_order_coefficients():
+    assert _valuations_at_zero(weierstrass_model("i7e8")) == (0, 0, 7)
+    assert _valuations_at_zero(weierstrass_model("e7e6")) == (3, 8, 9)
+    assert _valuations_at_zero(WeierstrassModel(Poly.of([]), T ** 5)) == (None, 5, 10)

@@ -259,21 +259,28 @@ def test_discriminant_gcds_need_no_remainder_sequence(remainder_calls, model, pa
     assert remainder_calls
 
 
-@pytest.mark.parametrize("model, moduli", [(GENERIC, []), (ADDITIVE, [T, T])],
-                         ids=["squarefree", "t6-times-squarefree"])
-def test_classification_splits_only_additive_places(monkeypatch, model, moduli):
-    # v(Delta) = 1 fixes (v(a4), v(a6)) = (0, 0), so only the t piece of
-    # ADDITIVE, where v(Delta) = 6, is split by v(a4) and then v(a6)
-    calls = []
-    split = fibration.uniform_valuations
+@pytest.mark.parametrize("model", [GENERIC, ADDITIVE], ids=["squarefree", "t6-times-squarefree"])
+def test_classification_splits_only_additive_places(monkeypatch, model):
+    # v(Delta) = 1 fixes (v(a4), v(a6)) = (0, 0), and the place t = 0 of
+    # ADDITIVE, where v(Delta) = 6, is read off the low-order coefficients,
+    # so neither model is split by v(a4) or v(a6), and Yun's loop never
+    # sees the factor t^6
+    calls, decomposed = [], []
+    split, parts = fibration.uniform_valuations, fibration.squarefree_parts
 
     def counted(f, modulus):
         calls.append(modulus)
         return split(f, modulus)
 
+    def recorded(f):
+        decomposed.append(f)
+        return parts(f)
+
     monkeypatch.setattr(fibration, "uniform_valuations", counted)
+    monkeypatch.setattr(fibration, "squarefree_parts", recorded)
     analysis = fibration.analyze_k3(model, NS_RANK)
-    assert calls == moduli
+    assert calls == []
+    assert [f.ints[0] != 0 for f in decomposed] == [True]
     assert [(r.kodaira, r.count) for r in analysis.fibers if r.place != "inf"] == \
         ([("I1", 24)] if model is GENERIC else [("I0*", 1), ("I1", 16)])
 
