@@ -145,10 +145,11 @@ def _combine(ri: list[int], rj: list[int], x: int, y: int, p: int, q: int) -> tu
             [p * s + q * t for s, t in zip(ri, rj)])
 
 
-def _clear_below(a: list[list[int]], u: list[list[int]], r: int, c: int) -> None:
+def _clear_below(a: list[list[int]], left: list[list[int]], r: int, c: int) -> None:
     """Clear a[i][c] for every row i below the nonzero pivot a[r][c], doing
-    each row step on u too: a subtracted multiple of row r when the pivot
-    divides the entry, else the 2x2 extended-gcd step on rows r and i."""
+    each row step on the Smith left transform too: a subtracted multiple of
+    row r when the pivot divides the entry, else the 2x2 extended-gcd step
+    on rows r and i."""
     for i in range(r + 1, len(a)):
         b = a[i][c]
         if b == 0:
@@ -157,11 +158,11 @@ def _clear_below(a: list[list[int]], u: list[list[int]], r: int, c: int) -> None
         f, rest = divmod(b, p)
         if rest == 0:
             a[i] = _subtract(a[i], a[r], f)
-            u[i] = _subtract(u[i], u[r], f)
+            left[i] = _subtract(left[i], left[r], f)
         else:
             g, x, y = _ext_gcd(p, b)
             a[r], a[i] = _combine(a[r], a[i], x, y, -(b // g), p // g)
-            u[r], u[i] = _combine(u[r], u[i], x, y, -(b // g), p // g)
+            left[r], left[i] = _combine(left[r], left[i], x, y, -(b // g), p // g)
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -169,32 +170,64 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     Returns (h, u) where u is unimodular, u @ m == h, pivots are positive,
     entries above each pivot are reduced into [0, pivot), and zero rows
-    sit at the bottom.  One pass per column clears the entries below the
-    pivot.
+    sit at the bottom.
+
+    Each row is kept as one list [a_i | u_i].  In column c, while more
+    than two rows at or below the next pivot row have a nonzero entry, the
+    one with the smallest |entry| (the lowest on a tie) is subtracted, with
+    the nearest-rounded quotient, from the others, whose entries in column
+    c at least halve; the rows below a pivot are thus reduced as it is
+    found and do not grow column after column.  The last two rows finish
+    with one subtraction when one entry divides the other, else one
+    extended-gcd step.  Those rows are zero left of column c, so every
+    step touches columns c onward only.
     """
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    rows, cols = m.rows, m.cols
+    w = [list(row) + [0] * i + [1] + [0] * (rows - 1 - i) for i, row in enumerate(m.entries)]
     r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if piv is None:
+    for c in range(cols):
+        live = [i for i in range(r, rows) if w[i][c]]
+        if not live:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            u[r], u[piv] = u[piv], u[r]
-        _clear_below(a, u, r, c)
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
+        while len(live) > 2:
+            p = min(live, key=lambda i: abs(w[i][c]))
+            tail = w[p][c:]
+            a = tail[0]
+            for i in live:
+                if i != p:
+                    wi = w[i]
+                    wi[c:] = _subtract(wi[c:], tail, (2 * wi[c] + a) // (2 * a))
+            live = [i for i in live if w[i][c]]
+        p = live[0]
+        if len(live) == 2:
+            j = live[1]
+            wp, wj = w[p], w[j]
+            a, b = wp[c], wj[c]
+            if b % a == 0:
+                wj[c:] = _subtract(wj[c:], wp[c:], b // a)
+            elif a % b == 0:
+                wp[c:] = _subtract(wp[c:], wj[c:], a // b)
+                p = j
+            else:
+                g, x, y = _ext_gcd(a, b)
+                wp[c:], wj[c:] = _combine(wp[c:], wj[c:], x, y, -(b // g), a // g)
+        if p != r:
+            w[r], w[p] = w[p], w[r]
+        wr = w[r]
+        if wr[c] < 0:
+            wr[c:] = [-x for x in wr[c:]]
+        a = wr[c]
+        tail = wr[c:]
         for i in range(r):
-            f = a[i][c] // a[r][c]
-            if f != 0:
-                a[i] = _subtract(a[i], a[r], f)
-                u[i] = _subtract(u[i], u[r], f)
+            wi = w[i]
+            f = wi[c] // a
+            if f:
+                wi[c:] = _subtract(wi[c:], tail, f)
         r += 1
-        if r == m.rows:
+        if r == rows:
             break
-    return IntMatrix.from_rows(a, cols=m.cols), IntMatrix.from_rows(u, cols=m.rows)
+    return (IntMatrix.from_rows([wi[:cols] for wi in w], cols=cols),
+            IntMatrix.from_rows([wi[cols:] for wi in w], cols=rows))
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:

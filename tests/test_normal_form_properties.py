@@ -1,8 +1,11 @@
 """Generated checks of the normal-form witnesses, Bareiss and signature.
 
-Matrices stay at most 6x6 so that the cofactor oracle and the whole file
-run in a few seconds.
+Generated matrices stay at most 6x6 so that the cofactor oracle and the
+whole file run in a few seconds; the Hermite stress cases check only the
+witness conditions, which need no oracle.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,10 +58,8 @@ def sign(x):
     return (x > 0) - (x < 0)
 
 
-@settings(deadline=None, max_examples=150)
-@given(m=matrices())
-def test_hermite_form_witness(m):
-    h, u = hermite_normal_form(m)
+def assert_hermite_witness(m, h, u):
+    """u @ m == h with u unimodular and h in Hermite form, which pins h."""
     assert u @ m == h
     assert is_unimodular(u)
     pivots = []
@@ -72,6 +73,48 @@ def test_hermite_form_witness(m):
     for i, j in pivots:
         assert h[i, j] > 0
         assert all(0 <= h[r, j] < h[i, j] for r in range(i))
+
+
+@settings(deadline=None, max_examples=150)
+@given(m=matrices())
+def test_hermite_form_witness(m):
+    assert_hermite_witness(m, *hermite_normal_form(m))
+
+
+@pytest.mark.parametrize("rows, cols", [(22, 22), (22, 21), (26, 26), (26, 25), (40, 40)])
+def test_hermite_form_witness_at_stress_sizes(rows, cols):
+    # too large for the gcd-step oracle, whose entries grow to thousands of
+    # bits here; the witness conditions pin h by uniqueness instead
+    rng = random.Random(rows * 100 + cols)
+    m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    assert_hermite_witness(m, *hermite_normal_form(m))
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [6, 5]],
+    [[6, 1], [2, 5]],
+    [[4, 1], [6, 5]],
+    [[-4, 3], [6, -5]],
+    [[-6, 1], [-2, 7], [3, 0]],
+    [[4, 1], [0, 3], [6, 5]],
+    [[5, 1, 0], [0, 2, 1], [7, 3, 2], [3, 1, 1]],
+    [[3, 1], [-3, 2], [3, 5]],
+    [[3, 1, 4], [-3, 2, 0], [3, 5, 1], [-3, 0, 2]],
+    [[0, 2], [5, 3], [0, 4]],
+    [[0, 2, 1], [0, -4, 3], [0, 6, 5]],
+], ids=["first-divides-second", "second-divides-first", "neither-divides", "negative",
+        "negative-three-rows", "zero-between", "zero-between-more-rows", "tie",
+        "tie-all-four", "single-live-row", "zero-column"])
+def test_hermite_pivot_choice_and_two_row_finish(rows):
+    m = IntMatrix.from_rows(rows)
+    h, u = hermite_normal_form(m)
+    assert u @ m == h
+    assert is_unimodular(u)
+    want_h, want_u = hermite_by_gcd_steps(m)
+    assert h.entries == want_h
+    if m.rows == m.cols and gauss_det(rows) != 0:
+        assert u.entries == want_u
+    assert hermite_normal_form(m) == (h, u), "the same input gives the same u"
 
 
 @settings(deadline=None, max_examples=150)
