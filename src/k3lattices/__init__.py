@@ -3,14 +3,11 @@
 __version__ = "0.1.0"
 
 from .intmat import (
-    NO_SOLUTION,
     IntMatrix,
-    NoSolution,
     det_exact,
     hermite_normal_form,
     integer_kernel,
     smith_normal_form,
-    solve_integer,
     solve_rational,
 )
 from .lattices import (
@@ -35,7 +32,6 @@ from .sublattices import (
 from .polynomials import (
     Poly,
     extract_rational_roots,
-    poly_gcd,
     squarefree_parts,
     uniform_valuations,
 )
@@ -69,8 +65,6 @@ __all__ = [
     "Lattice",
     "NeronSeveri",
     "NonMinimalModelError",
-    "NoSolution",
-    "NO_SOLUTION",
     "Overlattice",
     "Poly",
     "Signature",
@@ -95,12 +89,10 @@ __all__ = [
     "lefschetz_check",
     "make_named",
     "orthogonal_complement",
-    "poly_gcd",
     "run_verification",
     "signature",
     "smith_normal_form",
     "solve_glue",
-    "solve_integer",
     "solve_rational",
     "squarefree_parts",
     "uniform_valuations",

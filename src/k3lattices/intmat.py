@@ -117,23 +117,6 @@ def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple([sum(map(mul, row, v)) for row in m.entries])
 
 
-class NoSolution:
-    """Singleton marker returned by the solvers for inconsistent systems."""
-
-    _instance: "NoSolution | None" = None
-
-    def __new__(cls) -> "NoSolution":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NoSolution"
-
-
-NO_SOLUTION = NoSolution()
-
-
 def _subtract(target: list[int], source: list[int], f: int) -> list[int]:
     """The row target - f * source."""
     return [y - f * x for x, y in zip(source, target)]
@@ -165,25 +148,20 @@ def _clear_below(a: list[list[int]], left: list[list[int]], r: int, c: int) -> N
             left[r], left[i] = _combine(left[r], left[i], x, y, -(b // g), p // g)
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
+def _hermite_rows(w: list[list[int]], cols: int) -> None:
+    """Bring the first cols columns of the rows w to Hermite form in place,
+    doing every row step on the columns after them too.
 
-    Returns (h, u) where u is unimodular, u @ m == h, pivots are positive,
-    entries above each pivot are reduced into [0, pivot), and zero rows
-    sit at the bottom.
-
-    Each row is kept as one list [a_i | u_i].  In column c, while more
-    than two rows at or below the next pivot row have a nonzero entry, the
-    one with the smallest |entry| (the lowest on a tie) is subtracted, with
-    the nearest-rounded quotient, from the others, whose entries in column
-    c at least halve; the rows below a pivot are thus reduced as it is
-    found and do not grow column after column.  The last two rows finish
-    with one subtraction when one entry divides the other, else one
-    extended-gcd step.  Those rows are zero left of column c, so every
-    step touches columns c onward only.
+    In column c, while more than two rows at or below the next pivot row
+    have a nonzero entry, the one with the smallest |entry| (the lowest on
+    a tie) is subtracted, with the nearest-rounded quotient, from the
+    others, whose entries in column c at least halve; the rows below a
+    pivot are thus reduced as it is found and do not grow column after
+    column.  The last two rows finish with one subtraction when one entry
+    divides the other, else one extended-gcd step.  Those rows are zero
+    left of column c, so every step touches columns c onward only.
     """
-    rows, cols = m.rows, m.cols
-    w = [list(row) + [0] * i + [1] + [0] * (rows - 1 - i) for i, row in enumerate(m.entries)]
+    rows = len(w)
     r = 0
     for c in range(cols):
         live = [i for i in range(r, rows) if w[i][c]]
@@ -226,6 +204,20 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         r += 1
         if r == rows:
             break
+
+
+def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form.
+
+    Returns (h, u) where u is unimodular, u @ m == h, pivots are positive,
+    entries above each pivot are reduced into [0, pivot), and zero rows
+    sit at the bottom.  Each row is kept as one list [a_i | u_i], the
+    identity appended, so every row step of _hermite_rows on a_i is done
+    on u_i too.
+    """
+    rows, cols = m.rows, m.cols
+    w = [list(row) + [0] * i + [1] + [0] * (rows - 1 - i) for i, row in enumerate(m.entries)]
+    _hermite_rows(w, cols)
     return (IntMatrix.from_rows([wi[:cols] for wi in w], cols=cols),
             IntMatrix.from_rows([wi[cols:] for wi in w], cols=rows))
 
@@ -334,12 +326,11 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_rational(m: IntMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | NoSolution:
+def solve_rational(m: IntMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:
     """Solve m @ x = rhs over the rationals.
 
-    Returns one exact solution (free variables set to 0), or NO_SOLUTION
-    when the system is inconsistent.  NO_SOLUTION is an ordinary value so
-    callers can assert on it.
+    Returns one exact solution (free variables set to 0), or None when the
+    system is inconsistent.
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match matrix rows")
@@ -364,39 +355,24 @@ def solve_rational(m: IntMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fractio
             break
     for i in range(r, nrows):
         if a[i][ncols] != 0:
-            return NO_SOLUTION
+            return None
     x = [Fraction(0)] * ncols
     for (pr, pc) in pivots:
         x[pc] = a[pr][ncols]
     return tuple(x)
 
 
-def solve_integer(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | NoSolution:
-    """Solve m @ x = rhs over the integers, free variables set to 0, or NO_SOLUTION.
-
-    With left @ m @ right == diag(d) and x = right @ z, row i reads d[i] * z[i] == (left @ rhs)[i].
-    """
-    if len(rhs) != m.rows:
-        raise ValueError("rhs length does not match matrix rows")
-    d, left, right = smith_normal_form(m)
-    z = [0] * m.cols
-    for i, y in enumerate(mat_vec(left, rhs)):
-        di = d[i] if i < len(d) else 0
-        if di == 0 and y != 0 or di != 0 and y % di != 0:
-            return NO_SOLUTION
-        if di:
-            z[i] = y // di
-    return mat_vec(right, z)
-
-
 def integer_kernel(m: IntMatrix) -> IntMatrix:
-    """Saturated basis of {x in Z^cols : m @ x = 0}, returned as columns."""
-    d, _left, right = smith_normal_form(m)
-    free = [j for j in range(m.cols) if j >= len(d) or d[j] == 0]
-    return IntMatrix.from_rows(
-        tuple([tuple([right.entries[i][j] for j in free]) for i in range(m.cols)]),
-        cols=len(free),
-    )
+    """Saturated basis of {x in Z^cols : m @ x = 0}, returned as columns.
+
+    With u @ m^T == h in Hermite form, the rows of the unimodular u whose
+    rows of h are zero span the kernel and are part of a basis of Z^cols.
+    """
+    w = [list(row) + [0] * i + [1] + [0] * (m.cols - 1 - i)
+         for i, row in enumerate(m.transpose().entries)]
+    _hermite_rows(w, m.rows)
+    kernel = [wi[m.rows:] for wi in w if not any(wi[:m.rows])]
+    return IntMatrix.from_rows(kernel, cols=m.cols).transpose()
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -254,14 +254,6 @@ def _gcd_ints(x: Sequence[int], y: Sequence[int]) -> Sequence[int]:
     return [0] * min(a, b) + list(y)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) is 0."""
-    if a.is_zero or b.is_zero:
-        rest = b if a.is_zero else a
-        return rest if rest.is_zero else rest.monic()
-    return _monic(_gcd_ints(a.ints, b.ints))
-
-
 def squarefree_parts(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """Yun decomposition f = unit * prod(piece^mult) with squarefree,
     pairwise coprime monic pieces, returned in increasing multiplicity."""

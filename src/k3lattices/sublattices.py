@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd, prod
 
 from ._record import Record, set_field
-from .intmat import IntMatrix, hermite_normal_form, integer_kernel, mat_vec, smith_normal_form
+from .intmat import IntMatrix, _hermite_rows, integer_kernel, mat_vec, smith_normal_form
 from .lattices import Lattice, discriminant_group
 
 
@@ -236,9 +236,9 @@ def _adjoin(m: Lattice, glue: tuple[int, ...], q: int) -> IntMatrix:
     """Basis of m + Z*(glue/q) in m's coordinates, as q times the basis rows.
 
     The rows come from the Hermite form of q times the identity stacked on
-    glue.
+    glue; its transform is never read, so none is carried.
     """
     rows = [[q if i == j else 0 for j in range(m.rank)] for i in range(m.rank)]
-    rows.append(glue)
-    h, _ = hermite_normal_form(IntMatrix.from_rows(rows, cols=m.rank))
-    return IntMatrix.from_rows(h.entries[:m.rank], cols=m.rank)
+    rows.append(list(glue))
+    _hermite_rows(rows, m.rank)
+    return IntMatrix.from_rows(rows[:m.rank], cols=m.rank)

@@ -16,7 +16,7 @@ from k3lattices.fixedlocus import fixed_locus_table, fixed_pair_search, \
 from k3lattices.fixtures import CHAINS, INVARIANT_LATTICES, NS_RANK, chain_glue, \
     chain_sublattice, glue_target, overlattice_pair, reference_neron_severi, \
     reference_walk, weierstrass_model
-from k3lattices.intmat import NO_SOLUTION, IntMatrix, det_exact, solve_rational
+from k3lattices.intmat import IntMatrix, det_exact, solve_rational
 from k3lattices.lattices import direct_sum, discriminant_group, make_named, \
     signature
 from k3lattices.polynomials import Poly
@@ -148,7 +148,7 @@ def _contains(over, glue, scale):
     if any(x.denominator != 1 for x in scaled):
         return False
     solution = solve_rational(over.scaled.transpose(), scaled)
-    return solution is not NO_SOLUTION and \
+    return solution is not None and \
         all(x.denominator == 1 for x in solution)
 
 

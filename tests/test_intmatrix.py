@@ -6,17 +6,16 @@ from fractions import Fraction
 import pytest
 
 from k3lattices.intmat import (
-    NO_SOLUTION,
     IntMatrix,
     det_exact,
     hermite_normal_form,
     integer_kernel,
     mat_vec,
     smith_normal_form,
-    solve_integer,
     solve_rational,
     unimodular_inverse,
 )
+from k3lattices.fixtures import CHAINS, chain_sublattice
 from k3lattices.lattices import make_named
 
 from oracles import (cofactor_det, definiteness_sign, gauss_det, hermite_by_gcd_steps, minor_gcd,
@@ -171,7 +170,7 @@ def test_solve_identity():
 
 def test_solve_inconsistent():
     m = IntMatrix.from_rows([[1, 1], [1, 1]])
-    assert solve_rational(m, [0, 1]) is NO_SOLUTION
+    assert solve_rational(m, [0, 1]) is None
 
 
 def test_solve_random_consistent_systems():
@@ -182,45 +181,9 @@ def test_solve_random_consistent_systems():
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
         rhs = [sum(Fraction(m[i, j]) * x[j] for j in range(cols)) for i in range(rows)]
         sol = solve_rational(m, rhs)
-        assert sol is not NO_SOLUTION
+        assert sol is not None
         assert [sum(Fraction(m[i, j]) * sol[j] for j in range(cols))
                 for i in range(rows)] == rhs
-
-
-def test_solve_integer_against_rational_solve():
-    rng = random.Random(23)
-    full_rank = 0
-    for _ in range(200):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = random_matrix(rng, rows, cols, -4, 4)
-        if rng.random() < 0.5:
-            # a right-hand side in the integer image of m
-            x = [rng.randint(-5, 5) for _ in range(cols)]
-            rhs = list(mat_vec(m, x))
-        else:
-            rhs = [rng.randint(-9, 9) for _ in range(rows)]
-        sol = solve_integer(m, rhs)
-        if sol is not NO_SOLUTION:
-            assert mat_vec(m, sol) == tuple(rhs)
-        d, _, _ = smith_normal_form(m)
-        if sum(1 for x in d if x != 0) < cols:
-            continue
-        full_rank += 1
-        expected = solve_rational(m, rhs)
-        if expected is NO_SOLUTION or any(x.denominator != 1 for x in expected):
-            assert sol is NO_SOLUTION
-        else:
-            assert sol == tuple(int(x) for x in expected)
-    assert full_rank > 50
-
-
-def test_solve_integer_edge_shapes():
-    assert solve_integer(IntMatrix.from_rows([[2]]), [3]) is NO_SOLUTION
-    assert solve_integer(IntMatrix.from_rows([[2], [0]]), [4, 1]) is NO_SOLUTION
-    assert solve_integer(IntMatrix.from_rows([[2], [0]]), [4, 0]) == (2,)
-    assert solve_integer(IntMatrix.zeros(2, 3), [0, 0]) == (0, 0, 0)
-    with pytest.raises(ValueError):
-        solve_integer(IntMatrix.identity(2), [1])
 
 
 def test_kernel_of_zero_matrix_is_identity():
@@ -277,6 +240,12 @@ def _package_shapes():
         + [[rng.randint(-9, 9) for _ in range(16)]])
     shapes["chain15"] = IntMatrix.from_rows(chain_gram(15))
     shapes["U+E8+A6"] = make_named("U + E8 + A6").gram
+    # orthogonal_complement in solve_glue: the 15x16 system C^T G of each A15 chain
+    for name in CHAINS:
+        chain = chain_sublattice(name)
+        shapes[name] = chain.coords.transpose() @ chain.ambient.gram
+    shapes["0x3"] = IntMatrix.zeros(0, 3)
+    shapes["3x0"] = IntMatrix.zeros(3, 0)
     return shapes
 
 
@@ -291,10 +260,14 @@ def test_normal_form_witnesses_at_package_shapes(name):
     assert abs(gauss_det(u.to_lists())) == 1
     d, left, right = smith_normal_form(m)
     assert left @ m @ right == IntMatrix.from_rows(
-        [[d[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)])
+        [[d[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)], cols=m.cols)
     assert abs(gauss_det(left.to_lists())) == abs(gauss_det(right.to_lists())) == 1
     assert all(x >= 0 for x in d)
     for a, b in zip(d, d[1:]):
         assert b == 0 if a == 0 else b % a == 0
     assert h.entries == hermite_by_gcd_steps(m)[0]
     assert (d, left.entries, right.entries) == smith_by_general_steps(m)
+    k = integer_kernel(m)
+    assert m @ k == IntMatrix.zeros(m.rows, k.cols)
+    assert k.cols == m.cols - sum(1 for x in d if x != 0)
+    assert all(x == 1 for x in smith_normal_form(k)[0])
