@@ -107,8 +107,7 @@ def chain_sublattice(name: str) -> Sublattice:
 @cache
 def chain_glue(name: str) -> GlueSolution:
     ns = reference_neron_severi()
-    return solve_glue(ns.lattice, chain_sublattice(name),
-                      positive_against=ns.vectors["F"])
+    return solve_glue(chain_sublattice(name), positive_against=ns.vectors["F"])
 
 
 def reference_curve_edges() -> tuple[tuple[str, str], ...]:

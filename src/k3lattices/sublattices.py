@@ -84,38 +84,34 @@ def half_sum_search(s: Sublattice) -> list[tuple[int, ...]]:
 
 
 class GlueSolution(Record):
-    """Glue data of a corank-1 chain sublattice.
+    """Glue data of a primitive corank-1 sublattice delta.
 
     n is the index of (delta + complement) in the ambient lattice; H
     generates the complement; h generates the quotient and satisfies
-    n*h = H + sum(a[i] * C[i]) modulo n*(delta + ZH); h_plus is the
-    integral vector (H + a[0]*sum(i*C[i]))/n.  All vectors are in
+    n*h = H + sum(a[i] * C[i]) with 0 <= a[i] < n.  All vectors are in
     ambient coordinates.
     """
 
-    __slots__ = ("n", "H", "h", "a", "h_plus")
+    __slots__ = ("n", "H", "h", "a")
 
-    def __init__(self, n: int, H: tuple[int, ...], h: tuple[int, ...], a: tuple[int, ...],
-                 h_plus: tuple[int, ...]) -> None:
+    def __init__(self, n: int, H: tuple[int, ...], h: tuple[int, ...],
+                 a: tuple[int, ...]) -> None:
         set_field(self, "n", n)
         set_field(self, "H", H)
         set_field(self, "h", h)
         set_field(self, "a", a)
-        set_field(self, "h_plus", h_plus)
 
 
-def solve_glue(ambient: Lattice, delta: Sublattice,
+def solve_glue(delta: Sublattice,
                positive_against: tuple[int, ...] | None = None) -> GlueSolution:
-    """Glue solver for a primitive chain sublattice of corank 1.
+    """Glue solver for a primitive corank-1 sublattice of its ambient lattice.
 
     The complement generator H is sign-normalized to pair positively with
     positive_against when given, otherwise to a positive first nonzero
     coordinate.  The quotient generator h is normalized so its
-    H-coefficient is exactly 1/n, which pins the residues a[i]; for a
-    chain delta these satisfy a[i] = (i+1)*a[0] mod n.
+    H-coefficient is exactly 1/n, which pins the residues a[i].
     """
-    if delta.ambient.gram != ambient.gram:
-        raise ValueError("delta does not live in the given ambient lattice")
+    ambient = delta.ambient
     if delta.rank != ambient.rank - 1:
         raise ValueError("delta must have corank 1")
     if not is_primitive(delta):
@@ -144,27 +140,16 @@ def solve_glue(ambient: Lattice, delta: Sublattice,
     if n == 0:
         raise ValueError("delta + ZH does not have full rank")
     a = tuple([-x % n for x in mat_vec(right, y[:k])])
-
-    h_int = _glue_vector(H, delta, a, n)
-    for i in range(1, k):
-        if a[i] != (i + 1) * a[0] % n:
-            raise AssertionError("residues do not follow the chain rule")
-    h_plus = _glue_vector(H, delta, [a[0] * (j + 1) for j in range(k)], n)
-
-    # delta together with h must already generate the whole ambient lattice
-    if abs(mat_vec(left, h_int)[k]) != 1:
-        raise AssertionError("delta + Zh does not span the ambient lattice")
-
-    return GlueSolution(n, tuple(H), h_int, a, h_plus)
-
-
-def _glue_vector(H: list[int], delta: Sublattice, weights: tuple[int, ...] | list[int],
-                 n: int) -> tuple[int, ...]:
-    """The integral vector (H + sum weights[j] * C_j) / n."""
-    numerator = [x + y for x, y in zip(H, mat_vec(delta.coords, weights))]
+    numerator = [x + c for x, c in zip(H, mat_vec(delta.coords, a))]
     if any(x % n for x in numerator):
         raise AssertionError("glue vector is not integral")
-    return tuple([x // n for x in numerator])
+    h = tuple([x // n for x in numerator])
+
+    # delta together with h must already generate the whole ambient lattice
+    if abs(mat_vec(left, h)[k]) != 1:
+        raise AssertionError("delta + Zh does not span the ambient lattice")
+
+    return GlueSolution(n, tuple(H), h, a)
 
 
 class Overlattice(Record):

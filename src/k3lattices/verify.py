@@ -12,7 +12,7 @@ import time
 
 from . import __version__
 from ._record import Record, set_field
-from .intmat import IntMatrix, det_exact
+from .intmat import IntMatrix, det_exact, mat_vec
 from .lattices import Lattice, discriminant_group, make_named, signature
 from .fibration import analyze_k3
 from .fixedlocus import (
@@ -183,13 +183,17 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         h_sq = ns.lattice.pairing(sol.H, sol.H)
         a1 = sol.a[0]
         residues = all(sol.a[i] == (i + 1) * a1 % sol.n for i in range(15))
+        # h+ = (H + a1 * sum((i+1) * C_i)) / n must complete the chain to a basis
+        coords = chain_sublattice(name).coords
+        numerator = [x + c for x, c in
+                     zip(sol.H, mat_vec(coords, [(i + 1) * a1 for i in range(15)]))]
+        h_plus_integral = all(x % sol.n == 0 for x in numerator)
         basis = IntMatrix.from_rows(
-            [[chain_sublattice(name).coords[i, j] for j in range(15)] + [sol.h_plus[i]]
-             for i in range(16)])
+            [list(coords.row(i)) + [numerator[i] // sol.n] for i in range(16)])
         basis_det = det_exact(basis.transpose() @ ns.lattice.gram @ basis)
         glue_ok &= (sol.n == 16 and h_sq == 112 and 16 * h_sq == 7 * sol.n ** 2
                     and residues and a1 % 16 in (3, 13)
-                    and basis_det == ns.lattice.det)
+                    and h_plus_integral and basis_det == ns.lattice.det)
         glue_values[name] = f"n={sol.n} H^2={h_sq} a1={a1} basis_det={basis_det}"
     add("08-glue",
         "index 16, H^2 = 112, 16 H^2 = 7 n^2, a_i = i a1, a1 = +-3 mod 16, "

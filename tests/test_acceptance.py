@@ -128,11 +128,14 @@ def test_c08_glue_solution_clauses():
             a1 = sol.a[0]
             assert a1 % 16 in (3, 13)
             assert all(sol.a[i] == (i + 1) * a1 % 16 for i in range(15))
-            # h_plus is integral by construction; it must complete the chain
-            # to a basis of the full lattice
+            # h+ = (H + a1 * sum(i C_i)) / 16 is integral and completes the
+            # chain to a basis of the full lattice
             chain = chain_sublattice(name)
+            numerator = [x + a1 * sum((j + 1) * chain.coords[i, j] for j in range(15))
+                         for i, x in enumerate(sol.H)]
+            assert all(x % 16 == 0 for x in numerator)
             basis = IntMatrix.from_rows(
-                [[chain.coords[i, j] for j in range(15)] + [sol.h_plus[i]]
+                [[chain.coords[i, j] for j in range(15)] + [numerator[i] // 16]
                  for i in range(16)])
             gram = (basis.transpose() @ ns.lattice.gram @ basis).to_lists()
             assert det_exact(IntMatrix.from_rows(gram)) == ns.lattice.det

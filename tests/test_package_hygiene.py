@@ -5,7 +5,8 @@ package or of the tests imports a name it never uses, and every public
 function or class of the package is either used by the package or
 exported.  Start-up stays cheap: no module imports dataclasses, inspect,
 datetime or pathlib or calls exec or eval, and importing the command line
-loads none of them."""
+loads none of them.  The arithmetic layers import none of fixtures, verify
+and cli, which hold the facts of the paper's scenario and the front end."""
 
 import ast
 import os
@@ -99,6 +100,29 @@ def test_no_tuple_of_a_generator(path):
                 and node.func.id == "tuple" and node.args:
             assert not isinstance(node.args[0], ast.GeneratorExp), \
                 f"{path.name}:{node.lineno}"
+
+
+LAYERS = ("intmat", "lattices", "sublattices", "polynomials", "fibration", "fixedlocus",
+          "_record")
+FRONT = {"fixtures", "verify", "cli"}
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_arithmetic_layers_import_no_fixtures_verify_or_cli(name):
+    # facts about the paper's scenario live in fixtures and verify, above the layers
+    for node in ast.walk(tree(PACKAGE / f"{name}.py")):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and base.split(".")[0] != "k3lattices":
+                continue
+            # "from . import verify" names the module among the imported names
+            modules = [base] + [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            assert module.split(".")[-1] not in FRONT, f"{name}.py:{node.lineno} {module}"
 
 
 @pytest.mark.parametrize("name", ["sublattices.py", "verify.py"])

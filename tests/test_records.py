@@ -39,8 +39,7 @@ RECORDS = {
                         ("invariant_factors", "numerators", "gram")),
     Sublattice: (lambda: Sublattice(Lattice(U), IntMatrix.from_rows([[1], [1]])),
                  ("ambient", "coords")),
-    GlueSolution: (lambda: GlueSolution(2, (1, 0), (0, 1), (1,), (1, 1)),
-                   ("n", "H", "h", "a", "h_plus")),
+    GlueSolution: (lambda: GlueSolution(2, (1, 0), (0, 1), (1,)), ("n", "H", "h", "a")),
     Overlattice: (lambda: Overlattice((1, 1), U, 2, A2, 2),
                   ("glue", "scaled", "scale", "gram", "index")),
     FixedLocusProfile: (lambda: FixedLocusProfile("U + K7", 4, 2, 1, 0, (1,)),

@@ -13,7 +13,7 @@ from k3lattices.intmat import (
     hermite_normal_form,
     solve_rational,
 )
-from k3lattices.fixtures import chain_glue
+from k3lattices.fixtures import chain_glue, chain_sublattice
 from k3lattices.lattices import Lattice, direct_sum, make_named
 from k3lattices.sublattices import (
     GlueSolution,
@@ -183,11 +183,20 @@ def test_half_sum_generator_cap():
 def test_solve_glue_toy_case():
     u = make_named("U")
     delta = Sublattice(u, columns([(1, -1)]))
-    sol = solve_glue(u, delta)
-    assert sol == GlueSolution(n=2, H=(1, 1), h=(1, 0), a=(1,), h_plus=(1, 0))
+    sol = solve_glue(delta)
+    assert sol == GlueSolution(n=2, H=(1, 1), h=(1, 0), a=(1,))
     # n*h = H + a1*C1 exactly here
     assert tuple(2 * x for x in sol.h) == tuple(
         h + c for h, c in zip(sol.H, delta.generator(0)))
+
+
+def chain_h_plus(name):
+    # (H + a1 * sum((j+1) * C_j)) / n, the generator check 08 completes each chain with
+    sol, chain = chain_glue(name), chain_sublattice(name)
+    numerator = [x + sum((j + 1) * sol.a[0] * chain.coords[i, j] for j in range(chain.rank))
+                 for i, x in enumerate(sol.H)]
+    assert all(x % sol.n == 0 for x in numerator)
+    return tuple(x // sol.n for x in numerator)
 
 
 def test_chain_glue_values_are_pinned():
@@ -196,30 +205,28 @@ def test_chain_glue_values_are_pinned():
         n=16,
         H=(21, 42, -18, -15, -12, -9, -6, -3, -21, -42, -63, -84, -105, -70, -35, -56),
         h=(2, 4, -2, -1, -1, -1, -1, -1, -2, -4, -5, -7, -9, -6, -3, -5),
-        a=a,
-        h_plus=(7, 14, -6, -5, -4, -3, -2, -1, -7, -14, -21, -28, -35, -19, -3, -23))
+        a=a)
+    assert chain_h_plus("a15-chain-1") == (
+        7, 14, -6, -5, -4, -3, -2, -1, -7, -14, -21, -28, -35, -19, -3, -23)
     assert chain_glue("a15-chain-2") == GlueSolution(
         n=16,
         H=(21, 42, -3, -6, -9, -12, -15, -18, -21, -42, -63, -84, -105, -70, -35, -56),
         h=(2, 4, -1, -1, -1, -1, -1, -2, -2, -4, -5, -7, -9, -6, -3, -5),
-        a=a,
-        h_plus=(7, 14, -1, -2, -3, -4, -5, -6, -7, -14, -21, -28, -35, -19, -3, -23))
+        a=a)
+    assert chain_h_plus("a15-chain-2") == (
+        7, 14, -1, -2, -3, -4, -5, -6, -7, -14, -21, -28, -35, -19, -3, -23)
 
 
-@st.composite
-def a_k_chains(draw):
-    """An A_k chain, k <= 6, in an ambient spanned by the chain and one
-    vector with pairings in [-3, 3] and an even square, written in a
-    random basis; the chain coordinates follow through the inverse."""
-    k = draw(st.integers(1, 6))
-    n = k + 1
-    v = [draw(st.integers(-3, 3)) for _ in range(k)]
-    gram = [list(row) + [x] for row, x in zip(make_named(f"A{k}").gram.entries, v)]
-    gram.append(v + [2 * draw(st.integers(-3, 3))])
-    assume(gauss_det(gram) != 0)
+def in_random_basis(draw, gram, kept):
+    """The lattice of gram written in a random basis, from at most 3n
+    elementary column steps, with the sublattice spanned by the original
+    basis vectors listed in kept; their coordinates follow through the
+    inverse."""
+    n = len(gram)
     u = IntMatrix.identity(n).to_lists()
     inverse = IntMatrix.identity(n).to_lists()
-    steps = st.tuples(st.integers(0, k), st.integers(0, k), st.sampled_from([-2, -1, 1, 2]))
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from([-2, -1, 1, 2]))
     for i, j, c in draw(st.lists(steps, max_size=3 * n)):
         if i == j:
             continue
@@ -229,46 +236,88 @@ def a_k_chains(draw):
         inverse[i] = [x - c * y for x, y in zip(inverse[i], inverse[j])]
     u = IntMatrix.from_rows(u)
     ambient = Lattice(u.transpose() @ IntMatrix.from_rows(gram) @ u)
-    chain = IntMatrix.from_rows([row[:k] for row in inverse], cols=k)
-    return ambient, Sublattice(ambient, chain)
+    coords = IntMatrix.from_rows([[row[j] for j in kept] for row in inverse], cols=len(kept))
+    return ambient, Sublattice(ambient, coords)
+
+
+@st.composite
+def a_k_chains(draw):
+    """An A_k chain, k <= 6, in an ambient spanned by the chain and one
+    vector with pairings in [-3, 3] and an even square, written in a
+    random basis."""
+    k = draw(st.integers(1, 6))
+    v = [draw(st.integers(-3, 3)) for _ in range(k)]
+    gram = [list(row) + [x] for row, x in zip(make_named(f"A{k}").gram.entries, v)]
+    gram.append(v + [2 * draw(st.integers(-3, 3))])
+    assume(gauss_det(gram) != 0)
+    return in_random_basis(draw, gram, range(k))
+
+
+@st.composite
+def dropped_basis_vectors(draw):
+    """A named lattice in a random basis, with the primitive corank-1
+    sublattice spanned by all but one of its original basis vectors; in
+    general not a chain."""
+    name = draw(st.sampled_from(["A3", "A4", "A5", "D4", "E6", "U + A2", "A2 + A2",
+                                 "U(7) + K7", "U + E8 + A6"]))
+    gram = make_named(name).gram.to_lists()
+    drop = draw(st.integers(0, len(gram) - 1))
+    return in_random_basis(draw, gram, [j for j in range(len(gram)) if j != drop])
+
+
+def assert_glue_witnesses(ambient, delta, sol):
+    n, k = sol.n, delta.rank
+    gens = [delta.generator(i) for i in range(k)]
+    assert all(ambient.pairing(sol.H, c) == 0 for c in gens)
+    assert math.gcd(*sol.H) == 1
+    assert n == abs(gauss_det([list(row) + [x] for row, x in zip(delta.coords.entries, sol.H)]))
+    assert tuple([n * x for x in sol.h]) == tuple(
+        [x + sum(a * c[i] for a, c in zip(sol.a, gens)) for i, x in enumerate(sol.H)])
+    assert all(0 <= a < n for a in sol.a)
+    assert abs(gauss_det([list(row) + [x] for row, x in zip(delta.coords.entries, sol.h)])) == 1
 
 
 @settings(deadline=None, max_examples=150)
 @given(case=a_k_chains())
 def test_solve_glue_on_generated_chains(case):
     ambient, chain = case
-    sol = solve_glue(ambient, chain)
-    n, k = sol.n, chain.rank
-    gens = [chain.generator(i) for i in range(k)]
-    assert all(ambient.pairing(sol.H, c) == 0 for c in gens)
-    assert math.gcd(*sol.H) == 1
-    assert n == abs(gauss_det([list(row) + [x] for row, x in zip(chain.coords.entries, sol.H)]))
-    assert tuple([n * x for x in sol.h]) == tuple(
-        [x + sum(a * c[i] for a, c in zip(sol.a, gens)) for i, x in enumerate(sol.H)])
-    assert all(0 <= a < n for a in sol.a)
-    assert all(sol.a[i] == (i + 1) * sol.a[0] % n for i in range(k))
-    assert abs(gauss_det([list(row) + [x] for row, x in zip(chain.coords.entries, sol.h)])) == 1
+    sol = solve_glue(chain)
+    assert_glue_witnesses(ambient, chain, sol)
+    # a theorem about chains: the residues are the multiples of the first
+    assert all(sol.a[i] == (i + 1) * sol.a[0] % sol.n for i in range(chain.rank))
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=dropped_basis_vectors())
+def test_solve_glue_on_generated_primitive_corank_one_sublattices(case):
+    ambient, delta = case
+    # delta + ZH has full rank exactly when the form on delta is nondegenerate
+    if gauss_det(delta.induced_gram().to_lists()) == 0:
+        with pytest.raises(ValueError):
+            solve_glue(delta)
+        assume(False)
+    assert_glue_witnesses(ambient, delta, solve_glue(delta))
 
 
 def test_solve_glue_sign_normalization():
     u = make_named("U")
     delta = Sublattice(u, columns([(1, -1)]))
-    sol = solve_glue(u, delta, positive_against=(0, 1))
+    sol = solve_glue(delta, positive_against=(0, 1))
     assert u.pairing(sol.H, (0, 1)) > 0
-    sol = solve_glue(u, delta, positive_against=(0, -1))
+    sol = solve_glue(delta, positive_against=(0, -1))
     assert u.pairing(sol.H, (0, -1)) > 0
 
 
 def test_solve_glue_rejections():
     u = make_named("U")
     with pytest.raises(ValueError):
-        solve_glue(u, Sublattice(u, columns([(2, -2)])))
+        solve_glue(Sublattice(u, columns([(2, -2)])))
     amb = direct_sum(make_named("U"), make_named("A1"))
     with pytest.raises(ValueError):
-        solve_glue(amb, Sublattice(amb, columns([(1, -1, 0)])))
+        solve_glue(Sublattice(amb, columns([(1, -1, 0)])))
     # an isotropic line is its own complement, so delta + ZH has rank 1
     with pytest.raises(ValueError):
-        solve_glue(u, Sublattice(u, columns([(1, 0)])))
+        solve_glue(Sublattice(u, columns([(1, 0)])))
 
 
 def test_overlattices_of_index_one():

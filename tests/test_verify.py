@@ -3,7 +3,10 @@
 import json
 from pathlib import Path
 
-from k3lattices import __version__
+from k3lattices import __version__, verify
+from k3lattices.cli import main
+from k3lattices.fixtures import chain_glue
+from k3lattices.sublattices import GlueSolution
 from k3lattices.verify import run_verification
 
 
@@ -22,6 +25,21 @@ def test_perturb_fails_exactly_the_det_check():
     assert not report.passed
     failing = [c.check_id for c in report.checks if not c.passed]
     assert failing == ["01-a15"]
+
+
+def test_a_broken_glue_fails_exactly_the_glue_check(monkeypatch, capsys):
+    # the real solutions with a1 shifted by 1, so the residues break and h+ is not integral
+    def shifted(name):
+        sol = chain_glue(name)
+        return GlueSolution(sol.n, sol.H, sol.h, (sol.a[0] + 1,) + sol.a[1:])
+
+    monkeypatch.setattr(verify, "chain_glue", shifted)
+    failing = [c.check_id for c in run_verification().checks if not c.passed]
+    assert failing == ["08-glue"]
+    assert main(["verify-all"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  08-glue" in captured.out
+    assert captured.err == ""
 
 
 def test_values_are_sorted_string_pairs():
