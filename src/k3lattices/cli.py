@@ -4,7 +4,8 @@ Three subcommands: lattice-info prints the invariants of a named or
 JSON-described lattice, fibration prints the per-place report of a
 Weierstrass or fibration description, and verify-all runs the whole
 built-in verification pipeline.  Exit codes: 0 success, 1 verification
-failure, 2 bad input or usage.
+failure, 2 bad input or usage, 141 (128 + SIGPIPE) when the reader closes
+stdout early.
 """
 
 from __future__ import annotations
@@ -223,7 +224,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point fd 1 at devnull so that the flush at
+        # interpreter exit stays quiet, and exit as a shell reports SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,6 @@ from .polynomials import (
     Poly,
     Rational,
     format_poly,
-    primitive_integer,
     squarefree_parts,
     squarefree_rational_roots,
     uniform_valuations,
@@ -211,7 +210,7 @@ def _classify_roots(w: WeierstrassModel, modulus: Poly, vd: int) -> list[FiberRe
         roots, rest = squarefree_rational_roots(h)
         reports.extend(FiberReport(str(r), *fiber) for r in roots)
         if rest.degree > 0:
-            reports.append(FiberReport(format_poly(primitive_integer(rest)),
+            reports.append(FiberReport(format_poly(Poly(rest.ints, Fraction(1))),
                                        *fiber, count=rest.degree))
     return reports
 

@@ -199,14 +199,22 @@ def linear_chain_edges(n: int) -> tuple[tuple[str, str], ...]:
     return tuple([(f"C{i}", f"C{i + 1}") for i in range(1, n)])
 
 
-def fixed_pair_search(n: int) -> list[tuple[int, int]]:
-    """All placements of two pointwise fixed curves on a linear n-chain
-    whose walk closes without conflicts."""
-    edges = linear_chain_edges(n)
-    valid = []
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            walk = walk_chain(edges, (f"C{p}", f"C{q}"))
-            if walk.consistent:
-                valid.append((p, q))
-    return valid
+def fixed_pair_search(edges: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
+    """Every pair of curves whose walk, with those two pointwise fixed,
+    closes without conflicts; each pair as sorted labels, in sorted order.
+
+    Only the pairs walk_chain cannot reject at sight are walked: two fixed
+    curves that meet give exponents 0 + 0 at their common point, and a
+    curve meeting three others or more would carry three fixed points
+    unless it is fixed itself.
+    """
+    edges = tuple(edges)
+    meets: dict[str, set[str]] = {}
+    for a, b in edges:
+        meets.setdefault(a, set()).add(b)
+        meets.setdefault(b, set()).add(a)
+    forced = {c for c, near in meets.items() if len(near) > 2}
+    curves = sorted(meets)
+    return [(p, q) for i, p in enumerate(curves) for q in curves[i + 1:]
+            if q not in meets[p] and forced <= {p, q}
+            and walk_chain(edges, (p, q)).consistent]

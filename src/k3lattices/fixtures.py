@@ -13,9 +13,10 @@ It has Mordell-Weil rank 0, so its Neron-Severi lattice is spanned by
 the section S, the fiber class F and the fiber components, labeled
 G1..G7 (the I7 cycle, G7 meeting S) and T1..T9 (the II* tree, T1..T8 a
 chain with T9 attached to T6, T1 meeting S).  The curve graph of the
-walk is read off that lattice.  The two 15-chains below are the only
-ways to run through the components as a linear chain of (-2)-curves,
-and both span an A15 sublattice of corank 1."""
+walk is read off that lattice, and the walk's two pointwise fixed curves
+are the one pair that fixed_pair_search finds on it.  The two 15-chains
+below are the only ways to run through the components as a linear chain
+of (-2)-curves, and both span an A15 sublattice of corank 1."""
 
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .fibration import (
     build_neron_severi,
     extract_chain,
 )
-from .fixedlocus import ChainWalk, walk_chain
 from .intmat import IntMatrix
 from .lattices import Lattice, make_named
 from .polynomials import Poly
@@ -63,8 +63,6 @@ CHAINS: dict[str, tuple[str, ...]] = {
 
 INVARIANT_LATTICES = ("U + K7", "U(7) + K7", "U + E8", "U(7) + E8", "U + E8 + A6")
 """The five invariant lattices of an order-7 purely non-symplectic action."""
-
-WALK_FIXED: tuple[str, ...] = ("G7", "T6")
 
 # isolated fixed points of the reference walk, by unordered exponent pair
 EXPECTED_P26 = (("G1", "G2"), ("G5", "G6"), ("S", "T1"), ("T4", "T5"),
@@ -118,11 +116,6 @@ def reference_curve_edges() -> tuple[tuple[str, str], ...]:
     pairing = c @ ns.lattice.gram @ c.transpose()
     return tuple([(a, b) for i, a in enumerate(curves)
                   for j, b in enumerate(curves) if i < j and pairing[i, j] == 1])
-
-
-@cache
-def reference_walk() -> ChainWalk:
-    return walk_chain(reference_curve_edges(), WALK_FIXED)
 
 
 @cache

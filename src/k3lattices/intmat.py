@@ -100,15 +100,8 @@ class IntMatrix(Record):
         ])
         return IntMatrix(self.rows, other.cols, out)
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple([tuple([-x for x in row]) for row in self.entries]))
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
 
 def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:

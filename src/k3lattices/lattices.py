@@ -38,10 +38,6 @@ class Signature(Record):
         set_field(self, "negative", negative)
         set_field(self, "zero", zero)
 
-    @property
-    def rank(self) -> int:
-        return self.positive + self.negative + self.zero
-
 
 class Lattice(Record):
     """Free Z-module with a symmetric integer bilinear form."""
@@ -192,9 +188,6 @@ def make_named(name: str) -> Lattice:
     for i, j in edges:
         g[i][j] = g[j][i] = 1
     return Lattice(IntMatrix.from_rows(g), f"{family}{n}")
-
-
-EMPTY = Lattice(IntMatrix.zeros(0, 0), "0")
 
 
 def direct_sum(*parts: Lattice) -> Lattice:

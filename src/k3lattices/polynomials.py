@@ -121,46 +121,8 @@ class Poly(Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        return math.prod([self] * exponent, start=Poly.constant(1))
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        steps = len(self.ints) - len(other.ints) + 1
-        if steps <= 0:
-            return ZERO, self
-        # scaled by lead^steps, every step of the long division is exact
-        scale = other.ints[-1] ** steps
-        quot, rem = _divide([c * scale for c in self.ints], other.ints)
-        return (_scaled(quot, self.content / (other.content * scale)),
-                _scaled(rem, self.content / scale))
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        """The exact quotient; ValueError unless other divides self."""
-        quot, rem = divmod(self, other)
-        if not rem.is_zero:
-            raise ValueError("the divisor does not divide exactly")
-        return quot
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def evaluate(self, x: Rational) -> Fraction:
-        n, d = _exact(x).numerator, x.denominator
-        if self.is_zero:
-            return Fraction(0)
-        return self.content * Fraction(_homogeneous(self.ints, n, d), d ** self.degree)
-
     def derivative(self) -> "Poly":
         return _scaled([k * c for k, c in enumerate(self.ints)][1:], self.content)
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        return _monic(self.ints)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -282,8 +244,10 @@ def uniform_valuations(f: Poly, modulus: Poly) -> list[tuple[Poly, int]]:
     root, one piece per valuation, in increasing valuation."""
     if f.is_zero:
         raise ValueError("valuations of the zero polynomial are undefined")
+    if modulus.is_zero:
+        raise ValueError("cannot split the zero modulus")
     pieces = []
-    current, h, v = f.ints, modulus.monic().ints, 0
+    current, h, v = f.ints, modulus.ints, 0
     while len(h) > 1:
         g = _gcd_ints(current, h)
         stays = _divide(h, g)[0]
@@ -291,14 +255,6 @@ def uniform_valuations(f: Poly, modulus: Poly) -> list[tuple[Poly, int]]:
             pieces.append((_monic(stays), v))
         current, h, v = _divide(current, g)[0], g, v + 1
     return pieces
-
-
-def primitive_integer(f: Poly) -> Poly:
-    """The integer polynomial with coprime coefficients and positive
-    leading coefficient proportional to f."""
-    if f.is_zero:
-        raise ValueError("the zero polynomial has no primitive form")
-    return Poly(f.ints, Fraction(1))
 
 
 def _value_mod(cs: list[int], x: int, m: int) -> int:

@@ -156,17 +156,16 @@ class Overlattice(Record):
     """A finite-index even overlattice, with the adjoined glue vector.
 
     The adjoined vector is glue / scale, with glue an integer vector in the
-    coordinates of the base lattice.  The rows of scaled are scale times
-    the overlattice basis in the same coordinates; gram is its (integer,
-    even) Gram matrix.
+    coordinates of the base lattice.  gram is the (integer, even) Gram
+    matrix of the overlattice basis, which _adjoin(m, glue, scale) gives
+    times scale.
     """
 
-    __slots__ = ("glue", "scaled", "scale", "gram", "index")
+    __slots__ = ("glue", "scale", "gram", "index")
 
-    def __init__(self, glue: tuple[int, ...], scaled: IntMatrix, scale: int,
-                 gram: IntMatrix, index: int) -> None:
+    def __init__(self, glue: tuple[int, ...], scale: int, gram: IntMatrix,
+                 index: int) -> None:
         set_field(self, "glue", glue)
-        set_field(self, "scaled", scaled)
         set_field(self, "scale", scale)
         set_field(self, "gram", gram)
         set_field(self, "index", index)
@@ -213,7 +212,7 @@ def enumerate_even_overlattices(m: Lattice, index: int) -> list[Overlattice]:
         over = Lattice(gram)
         if abs(m.det) != index * index * abs(over.det):
             raise AssertionError("determinant identity fails")
-        results.append(Overlattice(glue, scaled, q, gram, index))
+        results.append(Overlattice(glue, q, gram, index))
     return results
 
 

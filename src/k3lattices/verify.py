@@ -20,6 +20,8 @@ from .fixedlocus import (
     fixed_locus_table,
     fixed_pair_search,
     lefschetz_check,
+    linear_chain_edges,
+    walk_chain,
 )
 from .fixtures import (
     CHAINS,
@@ -31,8 +33,8 @@ from .fixtures import (
     chain_glue,
     chain_sublattice,
     overlattice_pair,
+    reference_curve_edges,
     reference_neron_severi,
-    reference_walk,
     weierstrass_model,
 )
 from .sublattices import Overlattice, half_sum_search, is_primitive
@@ -236,14 +238,18 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         "the fixed-locus Euler number equals 2 + r - (22 - r)/6 on every row",
         lefschetz_ok, {"rows": len(profiles)})
 
-    walk = reference_walk()
-    placement_ok = (walk.consistent
+    edges = reference_curve_edges()
+    fixed = fixed_pair_search(edges)
+    walk = walk_chain(edges, fixed[0] if fixed else ())
+    placement_ok = (fixed == [("G7", "T6")]
+                    and walk.consistent
                     and walk.isolated("P26") == EXPECTED_P26
                     and walk.isolated("P35") == EXPECTED_P35
                     and walk.isolated("P44") == EXPECTED_P44
-                    and walk.fixed_curves == ("G7", "T6")
                     and count_check(walk, profiles["U + E8 + A6"]))
-    pairs = fixed_pair_search(15)
+    # the chain's curves are C1..C15, so a label maps back to its position
+    pairs = sorted(tuple(sorted(int(c[1:]) for c in pair))
+                   for pair in fixed_pair_search(linear_chain_edges(15)))
     search_ok = (pairs == [(3, 10), (4, 11), (5, 12), (6, 13)]
                  and all(q - p == 7 for p, q in pairs))
     add("12-walk",

@@ -12,16 +12,16 @@ from itertools import product
 from k3lattices.cli import main
 from k3lattices.fibration import analyze_k3
 from k3lattices.fixedlocus import fixed_locus_table, fixed_pair_search, \
-    lefschetz_check
+    lefschetz_check, linear_chain_edges, walk_chain
 from k3lattices.fixtures import CHAINS, INVARIANT_LATTICES, NS_RANK, chain_glue, \
-    chain_sublattice, glue_target, overlattice_pair, reference_neron_severi, \
-    reference_walk, weierstrass_model
+    chain_sublattice, glue_target, overlattice_pair, reference_curve_edges, \
+    reference_neron_severi, weierstrass_model
 from k3lattices.intmat import IntMatrix, det_exact, solve_rational
 from k3lattices.lattices import direct_sum, discriminant_group, make_named, \
     signature
 from k3lattices.polynomials import Poly
-from k3lattices.sublattices import enumerate_even_overlattices, half_sum_search, \
-    is_primitive
+from k3lattices.sublattices import _adjoin, enumerate_even_overlattices, \
+    half_sum_search, is_primitive
 from k3lattices.verify import _overlattice_contains
 
 from oracles import definiteness_sign, gauss_det, half_integral_subsets
@@ -146,11 +146,11 @@ def _mirror(vector):
     return tuple(vector[14 - i] for i in range(15)) + (vector[15],)
 
 
-def _contains(over, glue, scale):
+def _contains(m, over, glue, scale):
     scaled = [Fraction(x * over.scale, scale) for x in glue]
     if any(x.denominator != 1 for x in scaled):
         return False
-    solution = solve_rational(over.scaled.transpose(), scaled)
+    solution = solve_rational(_adjoin(m, over.glue, over.scale).transpose(), scaled)
     return solution is not None and \
         all(x.denominator == 1 for x in solution)
 
@@ -166,10 +166,10 @@ def test_c09_overlattice_enumeration():
         for over in pair:
             assert abs(det_exact(over.gram)) == \
                 abs(base.det) // (over.index ** 2)
-        assert _contains(two, _mirror(one.glue), one.scale)
-        assert _contains(one, _mirror(two.glue), two.scale)
-        assert not _contains(one, _mirror(one.glue), one.scale)
-        assert not _contains(two, _mirror(two.glue), two.scale)
+        assert _contains(base, two, _mirror(one.glue), one.scale)
+        assert _contains(base, one, _mirror(two.glue), two.scale)
+        assert not _contains(base, one, _mirror(one.glue), one.scale)
+        assert not _contains(base, two, _mirror(two.glue), two.scale)
 
 
 
@@ -187,7 +187,7 @@ def test_coset_membership_matches_the_fraction_oracle():
             v, q = group.vector(coeffs)
             for over in overlattices:
                 inside = _overlattice_contains(over, v, q)
-                assert inside == _contains(over, v, q)
+                assert inside == _contains(m, over, v, q)
                 found.add(inside)
     assert found == {True, False}
 
@@ -216,19 +216,19 @@ def test_c12_walk_placement_and_search():
     with criterion(12, "the walk reproduces the known placement (6 + 5 + 2 "
                        "points, fixed curves at positions 6 and 13); chain "
                        "search finds only separation-7 pairs"):
-        walk = reference_walk()
+        edges = reference_curve_edges()
+        assert fixed_pair_search(edges) == [("G7", "T6")]
+        walk = walk_chain(edges, ("G7", "T6"))
         assert walk.consistent
         assert walk.counts() == (6, 5, 2, 2)
-        assert walk.fixed_curves == ("G7", "T6")
         assert walk.isolated("P26") == (("G1", "G2"), ("G5", "G6"),
                                         ("S", "T1"), ("T4", "T5"),
                                         ("T7", "T8"), ("T9",))
         assert walk.isolated("P35") == (("G2", "G3"), ("G4", "G5"),
                                         ("T1", "T2"), ("T3", "T4"), ("T8",))
         assert walk.isolated("P44") == (("G3", "G4"), ("T2", "T3"))
-        positions = fixed_pair_search(15)
-        assert positions == [(3, 10), (4, 11), (5, 12), (6, 13)]
-        assert all(q - p == 7 for p, q in positions)
+        assert fixed_pair_search(linear_chain_edges(15)) == [
+            ("C10", "C3"), ("C11", "C4"), ("C12", "C5"), ("C13", "C6")]
 
 
 def test_c13_perturb_negative_control(capsys):

@@ -1,9 +1,14 @@
-"""End-to-end tests for the command line interface, run in-process."""
+"""End-to-end tests for the command line interface, run in-process but
+for one run in a subprocess whose stdout is closed early."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -459,6 +464,20 @@ def test_verify_all_json_deterministic(capsys):
     d1, d2 = json.loads(out1), json.loads(out2)
     d1.pop("timestamp"), d2.pop("timestamp")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+def test_closed_stdout_exits_141_and_prints_nothing():
+    # as in `k3lattices verify-all --json | true`: the reader is gone
+    # before the report is written, which is no bad input
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "k3lattices.cli", "verify-all", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 # --- argument handling ------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from k3lattices.intmat import IntMatrix, hermite_normal_form
 from k3lattices.lattices import direct_sum, discriminant_group, make_named
-from k3lattices.sublattices import enumerate_even_overlattices
+from k3lattices.sublattices import _adjoin, enumerate_even_overlattices
 
 from oracles import gram_form, overlattice_glue_walk
 
@@ -85,10 +85,11 @@ def test_overlattices_match_the_exhaustive_walk(names, data):
         assert o.index == index and q == math.lcm(*(x.denominator for x in v))
         stacked = [[q if i == j else 0 for j in range(l.rank)] for i in range(l.rank)]
         h, _ = hermite_normal_form(IntMatrix.from_rows(stacked + [list(o.glue)]))
-        assert o.scaled.entries == h.entries[:l.rank]
-        left = [[sum(map(mul, row, col)) for col in zip(*rows)] for row in o.scaled.entries]
+        scaled = _adjoin(l, o.glue, q)
+        assert scaled.entries == h.entries[:l.rank]
+        left = [[sum(map(mul, row, col)) for col in zip(*rows)] for row in scaled.entries]
         assert o.gram.to_lists() == [[Fraction(sum(map(mul, a, b)), q * q)
-                                      for b in o.scaled.entries] for a in left]
+                                      for b in scaled.entries] for a in left]
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)

@@ -1,5 +1,7 @@
 """Tests for the derived fixed-locus rows and the exponent-walk engine."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,9 +16,7 @@ from k3lattices.fixedlocus import (
 )
 from k3lattices.fixtures import (
     INVARIANT_LATTICES,
-    WALK_FIXED,
     reference_curve_edges,
-    reference_walk,
 )
 from k3lattices.lattices import discriminant_group, make_named
 
@@ -135,6 +135,14 @@ def test_lefschetz_needs_six_block_rank():
 
 # --- the reference walk ------------------------------------------------------
 
+@cache
+def reference_walk():
+    """The walk from the one pair of fixed curves the search finds on i7e8."""
+    edges = reference_curve_edges()
+    (fixed,) = fixed_pair_search(edges)
+    return walk_chain(edges, fixed)
+
+
 def test_reference_walk_is_consistent():
     walk = reference_walk()
     assert walk.consistent
@@ -172,6 +180,8 @@ WALK_EDGES = (
     ("T1", "T2"), ("T2", "T3"), ("T3", "T4"), ("T4", "T5"),
     ("T5", "T6"), ("T6", "T7"), ("T7", "T8"), ("T6", "T9"),
 )
+# the two pointwise fixed curves of the known placement
+WALK_FIXED = ("G7", "T6")
 
 
 def test_curve_edges_read_off_the_neron_severi_lattice():
@@ -235,9 +245,14 @@ def test_linear_chain_edges():
 
 
 def test_fixed_pair_search_on_fifteen_chain():
-    valid = fixed_pair_search(15)
-    assert valid == [(3, 10), (4, 11), (5, 12), (6, 13)]
-    assert all(q - p == 7 for p, q in valid)
+    valid = fixed_pair_search(linear_chain_edges(15))
+    # labels sort as strings, so each pair lists the far curve first
+    assert valid == [("C10", "C3"), ("C11", "C4"), ("C12", "C5"), ("C13", "C6")]
+
+
+def test_fixed_pair_search_on_the_reference_configuration():
+    assert fixed_pair_search(WALK_EDGES) == [WALK_FIXED]
+    assert fixed_pair_search(reference_curve_edges()) == [WALK_FIXED]
 
 
 def test_fixed_pair_separation_six_fails():
@@ -250,8 +265,8 @@ def test_fixed_pair_separation_six_fails():
 def test_fixed_pair_search_smaller_chains():
     # on an 8-chain the separation-7 placement needs both ends free of
     # overhang, which forces the pair onto the boundary positions
-    assert fixed_pair_search(8) == [(1, 8)]
-    assert fixed_pair_search(2) == []
+    assert fixed_pair_search(linear_chain_edges(8)) == [("C1", "C8")]
+    assert fixed_pair_search(linear_chain_edges(2)) == []
 
 
 # --- the per-curve walk against the per-slot reference ----------------------
@@ -267,14 +282,23 @@ def assert_walk_matches_slot_walk(edges, fixed):
 
 
 CURVES = [f"C{i}" for i in range(10)]
+curve_graphs = st.lists(st.tuples(st.sampled_from(CURVES), st.sampled_from(CURVES))
+                        .filter(lambda e: e[0] != e[1]), max_size=14)
 
 
 @settings(deadline=None, max_examples=400)
-@given(edges=st.lists(st.tuples(st.sampled_from(CURVES), st.sampled_from(CURVES))
-                      .filter(lambda e: e[0] != e[1]), max_size=14),
-       fixed=st.lists(st.sampled_from(CURVES), max_size=4))
+@given(edges=curve_graphs, fixed=st.lists(st.sampled_from(CURVES), max_size=4))
 def test_walk_matches_slot_walk_on_generated_graphs(edges, fixed):
     assert_walk_matches_slot_walk(edges, fixed)
+
+
+@settings(deadline=None, max_examples=300)
+@given(edges=curve_graphs)
+def test_fixed_pair_search_matches_walking_every_pair(edges):
+    curves = sorted({c for edge in edges for c in edge})
+    every = [(p, q) for i, p in enumerate(curves) for q in curves[i + 1:]
+             if walk_chain(edges, (p, q)).consistent]
+    assert fixed_pair_search(edges) == every
 
 
 def test_walk_matches_slot_walk_on_every_chain_pair_placement():

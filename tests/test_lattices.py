@@ -8,7 +8,6 @@ import pytest
 
 from k3lattices.intmat import IntMatrix
 from k3lattices.lattices import (
-    EMPTY,
     Lattice,
     Signature,
     direct_sum,
@@ -86,7 +85,7 @@ def test_direct_sum_invariants():
     assert t.is_even
 
     u = make_named("U")
-    assert direct_sum(u, EMPTY).gram == u.gram
+    assert direct_sum(u, Lattice(IntMatrix.zeros(0, 0))).gram == u.gram
 
 
 def test_direct_sum_multiplies_dets_and_adds_signatures():

@@ -6,9 +6,13 @@ function or class of the package is either used by the package or
 exported.  Start-up stays cheap: no module imports dataclasses, inspect,
 datetime or pathlib or calls exec or eval, and importing the command line
 loads none of them.  The arithmetic layers import none of fixtures, verify
-and cli, which hold the facts of the paper's scenario and the front end."""
+and cli, which hold the facts of the paper's scenario and the front end.
+Every function and method that perfbench's tracer names exists where the
+tracer looks it up."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,6 +22,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "k3lattices"
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 FLOAT_NAMES = {("math", "inf"), ("math", "nan")}
 
@@ -192,3 +197,27 @@ def test_every_public_definition_is_used_or_exported():
     unused = sorted(f"{defined[name]}: {name}"
                     for name in set(defined) - used - exported - UNUSED_ALLOWED)
     assert not unused, unused
+
+
+def test_every_function_the_tracer_names_exists():
+    # the tracer looks these up by (layer, qualified name) and fails every
+    # traced run on one it cannot find: a function must be defined in its
+    # layer module, a method in the class's own namespace
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    named = {(layer, q) for layer, pairs in tracing.NAMED.items() for q, _ in pairs}
+    methods = {(layer, q) for layer, names in tracing.METHODS.items() for q in names}
+    missing = []
+    for layer, qualname in sorted(named | methods):
+        module = importlib.import_module(f"k3lattices.{layer}")
+        if "." in qualname:
+            cls_name, attr = qualname.split(".")
+            cls = getattr(module, cls_name, None)
+            found = cls is not None and attr in vars(cls)
+        else:
+            obj = vars(module).get(qualname)
+            found = callable(obj) and obj.__module__ == module.__name__
+        if not found:
+            missing.append(f"{layer}.{qualname}")
+    assert not missing, missing

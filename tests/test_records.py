@@ -40,8 +40,7 @@ RECORDS = {
     Sublattice: (lambda: Sublattice(Lattice(U), IntMatrix.from_rows([[1], [1]])),
                  ("ambient", "coords")),
     GlueSolution: (lambda: GlueSolution(2, (1, 0), (0, 1), (1,)), ("n", "H", "h", "a")),
-    Overlattice: (lambda: Overlattice((1, 1), U, 2, A2, 2),
-                  ("glue", "scaled", "scale", "gram", "index")),
+    Overlattice: (lambda: Overlattice((1, 1), 2, A2, 2), ("glue", "scale", "gram", "index")),
     FixedLocusProfile: (lambda: FixedLocusProfile("U + K7", 4, 2, 1, 0, (1,)),
                         ("name", "rank", "n26", "n35", "n44", "curves")),
     FixedPoint: (lambda: FixedPoint(("G1", "G2"), (2, 6)), ("curves", "exponents")),

@@ -17,6 +17,7 @@ from k3lattices.fixtures import chain_glue, chain_sublattice
 from k3lattices.lattices import Lattice, direct_sum, make_named
 from k3lattices.sublattices import (
     GlueSolution,
+    _adjoin,
     Sublattice,
     enumerate_even_overlattices,
     half_sum_search,
@@ -326,7 +327,8 @@ def test_overlattices_of_index_one():
     assert len(results) == 1
     assert results[0].gram == u.gram
     assert results[0].index == 1
-    assert results[0].scaled == IntMatrix.identity(2) and results[0].scale == 1
+    assert _adjoin(u, results[0].glue, results[0].scale) == IntMatrix.identity(2)
+    assert results[0].scale == 1
 
 
 def test_no_even_overlattice_of_two_a1():
@@ -353,9 +355,9 @@ def test_walk_bound_counts_only_the_index_torsion():
     assert (over.glue, over.scale) == ((1,), 2)
 
 
-def in_overlattice(over, glue, scale):
+def in_overlattice(m, over, glue, scale):
     target = [Fraction(x * over.scale, scale) for x in glue]
-    sol = solve_rational(over.scaled.transpose(), target)
+    sol = solve_rational(_adjoin(m, over.glue, over.scale).transpose(), target)
     return sol is not None and all(x.denominator == 1 for x in sol)
 
 
@@ -374,7 +376,7 @@ def test_chain15_plus_line_overlattices():
     perm[:15] = [14 - i for i in range(15)]
     first, second = results
     mirrored = tuple(first.glue[perm[i]] for i in range(16))
-    assert in_overlattice(second, mirrored, first.scale)
-    assert not in_overlattice(first, mirrored, first.scale)
+    assert in_overlattice(m, second, mirrored, first.scale)
+    assert not in_overlattice(m, first, mirrored, first.scale)
     mirrored2 = tuple(second.glue[perm[i]] for i in range(16))
-    assert in_overlattice(first, mirrored2, second.scale)
+    assert in_overlattice(m, first, mirrored2, second.scale)

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from k3lattices import __version__, verify
 from k3lattices.cli import main
 from k3lattices.fixtures import chain_glue
@@ -39,6 +41,24 @@ def test_a_broken_glue_fails_exactly_the_glue_check(monkeypatch, capsys):
     assert main(["verify-all"]) == 1
     captured = capsys.readouterr()
     assert "FAIL  08-glue" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("found", [[], [("G1", "T6")], [("G6", "T6"), ("G7", "T6")]],
+                         ids=["no-pair", "another-pair", "two-pairs"])
+def test_a_wrong_pair_search_on_i7e8_fails_exactly_the_walk_check(monkeypatch, capsys, found):
+    search = verify.fixed_pair_search
+
+    def wrong(edges):
+        pairs = search(edges)
+        return found if pairs == [("G7", "T6")] else pairs
+
+    monkeypatch.setattr(verify, "fixed_pair_search", wrong)
+    failing = [c.check_id for c in run_verification().checks if not c.passed]
+    assert failing == ["12-walk"]
+    assert main(["verify-all"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  12-walk" in captured.out
     assert captured.err == ""
 
 
