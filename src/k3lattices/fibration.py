@@ -21,9 +21,11 @@ v(a4) off a4 itself.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from typing import Mapping, Sequence
 
 from ._record import Record, set_field
@@ -32,6 +34,8 @@ from .lattices import Lattice
 from .polynomials import (
     Poly,
     Rational,
+    _convolve,
+    _scaled,
     format_poly,
     squarefree_parts,
     squarefree_rational_roots,
@@ -66,8 +70,14 @@ class WeierstrassModel(Record):
 
     @cached_property
     def discriminant(self) -> Poly:
-        a4 = self.a4
-        return (a4 * a4 * a4 * (4 * self.a4_scale_cubed) + self.a6 * self.a6 * 27) * -16
+        # a4 = p*A and a6 = q*B for integer lists A and B, so Delta is
+        # -64 c^3 p^3 A^3 - 432 q^2 B^2 = (u A^3 + v B^2) / d
+        a, b = self.a4.ints, self.a6.ints
+        f, g = -64 * self.a4_scale_cubed * self.a4.content ** 3, -432 * self.a6.content ** 2
+        d = math.lcm(f.denominator, g.denominator)
+        u, v = f.numerator * (d // f.denominator), g.numerator * (d // g.denominator)
+        return _scaled([u * x + v * y for x, y in zip_longest(
+            _convolve(_convolve(a, a), a), _convolve(b, b), fillvalue=0)], Fraction(1, d))
 
     @classmethod
     def from_a4_cubed(cls, value: Rational, a6: Poly,

@@ -3,11 +3,12 @@
 A Poly is a primitive integer coefficient tuple (ascending, leading entry
 positive) times one rational content that carries the sign, so field
 equality is polynomial equality; the zero polynomial is () with degree -1.
-By Gauss's lemma products and exact quotients of primitive polynomials are
-primitive, so the algorithms loop over int and touch the content once.
-Nothing here knows about elliptic surfaces; this is the arithmetic
-substrate for discriminant analysis: division, gcd, squarefree splitting,
-rational roots, and valuation refinement against squarefree moduli.
+Poly has no arithmetic operators: by Gauss's lemma products and exact
+quotients of primitive polynomials are primitive, so the algorithms loop
+over its ints and touch the content once.  Nothing here knows about
+elliptic surfaces; this is the arithmetic substrate for discriminant
+analysis: products, division, gcd, squarefree splitting, rational roots,
+and valuation refinement against squarefree moduli.
 """
 
 from __future__ import annotations
@@ -38,12 +39,22 @@ def _scaled(cs: list[int], scale: Fraction) -> "Poly":
     return Poly(tuple([c // g for c in cs]), scale * g)
 
 
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficient list of the product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
 def _monic(cs: Sequence[int]) -> "Poly":
     return Poly(tuple(cs), Fraction(1, cs[-1]))
 
 
 class Poly(Record):
-    """content * sum(ints[i] * t^i); build one with of, constant or monomial."""
+    """content * sum(ints[i] * t^i) in normal form, printed by format_poly;
+    build one with of, constant or monomial."""
 
     __slots__ = ("ints", "content")
 
@@ -69,10 +80,6 @@ class Poly(Record):
         return ZERO if _exact(coeff) == 0 else cls((0,) * degree + (1,), Fraction(coeff))
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple([self.content * c for c in self.ints])
-
-    @property
     def degree(self) -> int:
         return len(self.ints) - 1
 
@@ -86,46 +93,8 @@ class Poly(Record):
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.content * self.ints[-1]
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return other if self.is_zero else self
-        # na/da * a + nb/db * b = h/(da*db) * (u*a + v*b)
-        (na, da), (nb, db) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
-        h = math.gcd(na * db, nb * da)
-        u, v, a, b = na * db // h, nb * da // h, self.ints, other.ints
-        if len(a) < len(b):
-            a, b, u, v = b, a, v, u
-        cs = [u * x for x in a]
-        for i, y in enumerate(b):
-            cs[i] += v * y
-        return _scaled(cs, Fraction(h, da * db))
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.ints, -self.content)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Poly", Rational]) -> "Poly":
-        if not isinstance(other, Poly):
-            if _exact(other) == 0 or self.is_zero:
-                return ZERO
-            return Poly(self.ints, self.content * other)
-        if self.is_zero or other.is_zero:
-            return ZERO
-        out = [0] * (len(self.ints) + len(other.ints) - 1)
-        for i, a in enumerate(self.ints):
-            for j, b in enumerate(other.ints, i):
-                out[j] += a * b
-        return Poly(tuple(out), self.content * other.content)
-
-    __rmul__ = __mul__
-
     def derivative(self) -> "Poly":
         return _scaled([k * c for k, c in enumerate(self.ints)][1:], self.content)
-
-    def __str__(self) -> str:
-        return format_poly(self)
 
 
 ZERO = Poly((), Fraction(0))

@@ -186,17 +186,32 @@ def fraction_sum(a, b):
                   for i, x in enumerate(longer)])
 
 
-def fraction_product(a, b):
+def fraction_product(*factors):
     """Product of ascending coefficient lists, one Fraction product per
-    pair of terms."""
-    a, b = _trim(a), _trim(b)
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+    pair of terms; [1] for no factors."""
+    out = [Fraction(1)]
+    for b in factors:
+        a, b = out, _trim(b)
+        if not b:
+            return []
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
+
+
+def coefficients(p):
+    """Ascending Fraction coefficients of a package Poly, each integer entry
+    times the content."""
+    return [p.content * c for c in p.ints]
+
+
+def weierstrass_discriminant(a4, a6, a4_scale_cubed=1):
+    """Delta = -16 (4 c^3 a4^3 + 27 a6^2) of ascending coefficient lists,
+    for c^3 = a4_scale_cubed, term by term over Fractions."""
+    cube = [4 * a4_scale_cubed * c for c in fraction_product(a4, a4, a4)]
+    return [-16 * c for c in fraction_sum(cube, [27 * c for c in fraction_product(a6, a6)])]
 
 
 def fraction_divmod(a, b):
@@ -339,9 +354,7 @@ def weierstrass_symbols(a4, a6):
     "inf", at infinity when Delta has degree below 24.  Valuations come
     from root_valuation; at infinity they are 8 - deg a4, 12 - deg a6
     and 24 - deg Delta."""
-    cube = fraction_product(fraction_product(a4, a4), a4)
-    delta = [-16 * c for c in fraction_sum([4 * c for c in cube],
-                                           [27 * c for c in fraction_product(a6, a6)])]
+    delta = weierstrass_discriminant(a4, a6)
     content = math.gcd(*[int(c) for c in delta])
     symbols = {r: tate_symbol(root_valuation(a4, r), root_valuation(a6, r),
                               root_valuation(delta, r))

@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from k3lattices.cli import _print_fiber_table, main
 from k3lattices.fibration import weierstrass_from_data
 
+from oracles import coefficients
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -413,8 +415,22 @@ def test_fibration_reports_of_rational_content_models(capsys, tmp_path, model,
 ], ids=["fractional-a4-a6", "a4-cubed-negative-a6", "a4-cubed-zero"])
 def test_weierstrass_json_of_rational_content_models(model, a4, a4_scale_cubed, a6):
     w = weierstrass_from_data(model)
-    assert (w.a4.coeffs, w.a4_scale_cubed, w.a6.coeffs, w.label) \
+    assert (tuple(coefficients(w.a4)), w.a4_scale_cubed, tuple(coefficients(w.a6)), w.label) \
         == (a4, a4_scale_cubed, a6, "")
+
+
+def test_i7e8_rescaled_by_a_3997_digit_denominator(capsys, tmp_path):
+    # i7e8 with a6 scaled by 10^-1998 and c^3 by 10^-3996: Delta scales by
+    # 10^-3996, so its content has a 3,997-digit denominator, and the
+    # fibers stay those of i7e8
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"a4_cubed": "-27/4" + "0" * 3996,
+                                "a6": ["-1/1" + "0" * 1998, 0, 0, 0, 0, 0, 0,
+                                       "1/1" + "0" * 1998]}))
+    code, out, err = run(capsys, "fibration", str(path), "--json")
+    assert (code, err) == (0, "")
+    _, reference, _ = run(capsys, "fibration", "i7e8", "--json")
+    assert json.loads(out) == dict(json.loads(reference), label="")
 
 
 def test_fibration_unknown_source(capsys):

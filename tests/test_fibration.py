@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3lattices.fibration import (
     FiberSpec,
@@ -33,7 +33,14 @@ from k3lattices.fixtures import (
 from k3lattices.lattices import make_named, signature
 from k3lattices.polynomials import Poly
 
-from oracles import fraction_product, fraction_sum, gauss_det, weierstrass_symbols
+from oracles import (
+    coefficients,
+    fraction_product,
+    fraction_sum,
+    gauss_det,
+    weierstrass_discriminant,
+    weierstrass_symbols,
+)
 
 T = Poly.monomial(1)
 ONE = Poly.constant(1)
@@ -41,7 +48,7 @@ ONE = Poly.constant(1)
 
 def value_at(f, x):
     """f(x), one Fraction term per coefficient."""
-    return sum(c * x ** k for k, c in enumerate(f.coeffs))
+    return sum(c * x ** k for k, c in enumerate(coefficients(f)))
 
 
 # --- discriminants -------------------------------------------------------
@@ -49,7 +56,7 @@ def value_at(f, x):
 def test_discriminant_first_model():
     w = weierstrass_model("i7e8")
     delta = w.discriminant
-    assert {k: int(c) for k, c in enumerate(delta.coeffs) if c} == {7: 864, 14: -432}
+    assert {k: int(c) for k, c in enumerate(coefficients(delta)) if c} == {7: 864, 14: -432}
     # independent check: at t = 2, -432*t^7*(t^7 - 2) = -432 * 128 * 126
     assert value_at(delta, 2) == -432 * 128 * 126
     assert value_at(delta, 0) == 0
@@ -57,7 +64,7 @@ def test_discriminant_first_model():
 
 def test_discriminant_second_model():
     delta = weierstrass_model("e7e6").discriminant
-    assert {k: int(c) for k, c in enumerate(delta.coeffs) if c} == {9: -64, 16: -432}
+    assert {k: int(c) for k, c in enumerate(coefficients(delta)) if c} == {9: -64, 16: -432}
     # -16 * (4*t^9 + 27*t^16) at t = 1
     assert value_at(delta, 1) == -16 * 31
 
@@ -67,6 +74,39 @@ def test_discriminant_constant_model():
     assert w.discriminant == Poly.constant(-64)
     w = WeierstrassModel(Poly.constant(0), ONE)
     assert w.discriminant == Poly.constant(-432)
+
+
+exact_rationals = st.one_of(
+    st.integers(-99, 99),
+    st.integers(-10 ** 40, 10 ** 40),
+    st.fractions(min_value=-99, max_value=99, max_denominator=10 ** 6))
+a4_scales = st.sampled_from([1, 2, -1, Fraction(-27, 4), Fraction(5, 12), 10 ** 30])
+
+
+@settings(deadline=None, max_examples=200)
+@given(a4=st.lists(exact_rationals, max_size=9), a6=st.lists(exact_rationals, max_size=13),
+       a4_scale_cubed=a4_scales, a4_cubed=st.one_of(st.none(), exact_rationals))
+@example(a4=[], a6=[0, Fraction(1, 3)], a4_scale_cubed=2, a4_cubed=None)
+@example(a4=[Fraction(-5, 7)], a6=[0, 0], a4_scale_cubed=1, a4_cubed=None)
+@example(a4=[], a6=[], a4_scale_cubed=1, a4_cubed=None)
+@example(a4=[0], a6=[0, 0], a4_scale_cubed=Fraction(-27, 4), a4_cubed=None)
+@example(a4=[], a6=[], a4_scale_cubed=1, a4_cubed=0)
+def test_discriminant_matches_the_fraction_oracle(a4, a6, a4_scale_cubed, a4_cubed):
+    # a4 of degree <= 8 and a6 of degree <= 12, with integer or rational
+    # coefficients, either one or both zero, and models built by from_a4_cubed
+    if a4_cubed is None:
+        def build():
+            return WeierstrassModel(Poly.of(a4), Poly.of(a6), "", a4_scale_cubed)
+    else:
+        def build():
+            return WeierstrassModel.from_a4_cubed(a4_cubed, Poly.of(a6))
+        a4, a4_scale_cubed = [1 if a4_cubed else 0], a4_cubed or 1
+    expected = weierstrass_discriminant(a4, a6, a4_scale_cubed)
+    if not expected:
+        with pytest.raises(ValueError, match="the discriminant vanishes identically"):
+            build()
+        return
+    assert build().discriminant == Poly.of(expected)
 
 
 def test_model_validation():
@@ -126,7 +166,7 @@ def test_non_minimal_place_raises_with_hint():
 
 
 def test_non_minimal_at_infinity_becomes_note():
-    w = WeierstrassModel(Poly.monomial(4) + ONE, Poly.monomial(6))
+    w = WeierstrassModel(Poly.of([1, 0, 0, 0, 1]), Poly.monomial(6))
     analysis = analyze_k3(w, NS_RANK)
     assert any("infinity" in note for note in analysis.notes)
     assert not analysis.euler_ok

@@ -14,9 +14,13 @@ from k3lattices.fibration import WeierstrassModel
 from k3lattices.fixtures import NS_RANK
 from k3lattices.polynomials import Poly, extract_rational_roots, squarefree_parts
 
-from oracles import divisor_rational_roots, euclid_gcd, fraction_divmod
-
-T = Poly.monomial(1)
+from oracles import (
+    coefficients,
+    divisor_rational_roots,
+    euclid_gcd,
+    fraction_divmod,
+    fraction_product,
+)
 
 
 def kernel_gcd(a, b):
@@ -25,15 +29,13 @@ def kernel_gcd(a, b):
 
 
 def product(factors):
-    out = Poly.constant(1)
-    for f in factors:
-        out = out * f
-    return out
+    """The product of polynomials by the Fraction product oracle."""
+    return Poly.of(fraction_product(*[coefficients(f) for f in factors]))
 
 
 def exact_quotient(f, g):
     """f / g by the Fraction long division oracle, for a g that divides f."""
-    quot, rem = fraction_divmod(f.coeffs, g.coeffs)
+    quot, rem = fraction_divmod(coefficients(f), coefficients(g))
     assert not rem
     return Poly.of(quot)
 
@@ -68,13 +70,13 @@ def ends_within(seconds=20):
 def check_roots(f, expected):
     """extract_rational_roots(f) against the expected roots, or, when f is
     not squarefree, against the documented ValueError."""
-    if len(euclid_gcd(f.coeffs, f.derivative().coeffs)) > 1:
+    if len(euclid_gcd(coefficients(f), coefficients(f.derivative()))) > 1:
         with ends_within(), pytest.raises(ValueError, match="squarefree"):
             extract_rational_roots(f)
         return
     roots, cofactor = extract_rational_roots(f)
     assert roots == expected
-    rebuilt = cofactor * product(Poly.of([-r, 1]) for r in roots)
+    rebuilt = product([cofactor] + [Poly.of([-r, 1]) for r in roots])
     assert rebuilt == f
     assert cofactor.leading == f.leading
 
@@ -91,9 +93,9 @@ scales = st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-3
 @settings(deadline=None, max_examples=80)
 @given(factors=linear_factors, cofactor=cofactors, scale=scales)
 def test_roots_of_linear_factors_times_a_cofactor(factors, cofactor, scale):
-    f = product([linear(a, b) for a, b in factors] + [cofactor]) * scale
+    f = product([linear(a, b) for a, b in factors] + [cofactor, Poly.constant(scale)])
     expected = {Fraction(a, b) for a, b in factors}
-    expected |= set(divisor_rational_roots(cofactor.coeffs))
+    expected |= set(divisor_rational_roots(coefficients(cofactor)))
     check_roots(f, sorted(expected))
 
 
@@ -108,7 +110,7 @@ prime_powers = st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 6
 def test_roots_with_prime_power_numerators_and_denominators(roots, cofactor):
     f = product([linear(sign * a, b) for a, b, sign in roots] + [cofactor])
     expected = {Fraction(sign * a, b) for a, b, sign in roots}
-    expected |= set(divisor_rational_roots(cofactor.coeffs))
+    expected |= set(divisor_rational_roots(coefficients(cofactor)))
     check_roots(f, sorted(expected))
 
 
@@ -120,7 +122,7 @@ def test_roots_of_random_integer_polynomials(coeffs):
         with pytest.raises(ValueError):
             extract_rational_roots(f)
         return
-    check_roots(f, divisor_rational_roots(f.coeffs))
+    check_roots(f, divisor_rational_roots(coefficients(f)))
 
 
 def test_prime_search_skips_primes_dividing_the_leading_coefficient():
@@ -137,17 +139,17 @@ def test_prime_search_skips_primes_dividing_the_leading_coefficient():
 
 def test_squarefree_input_with_repeated_roots_mod_small_primes():
     # t^2 + 1 = (t + 1)^2 mod 2, so the search skips 2 and answers mod 3
-    f = (T - Poly.constant(2)) * (T * T + Poly.constant(1))
+    f = Poly.of(fraction_product([-2, 1], [1, 0, 1]))
     roots, cofactor = extract_rational_roots(f)
     assert roots == [Fraction(2)]
-    assert cofactor == T * T + Poly.constant(1)
+    assert cofactor == Poly.of([1, 0, 1])
 
 
 @pytest.mark.parametrize("f", [
-    product([T, T] + [T - Poly.constant(1)] * 3 + [T * T + Poly.constant(1)]),
-    product([T - Poly.constant(1)] * 2),
-    product([T, T, T + Poly.constant(5)]),
-    product([Poly.of([-1, 3])] * 2 + [Poly.of([2, 0, 30030])]),
+    Poly.of(fraction_product([0, 1], [0, 1], [-1, 1], [-1, 1], [-1, 1], [1, 0, 1])),
+    Poly.of(fraction_product([-1, 1], [-1, 1])),
+    Poly.of(fraction_product([0, 1], [0, 1], [5, 1])),
+    Poly.of(fraction_product([-1, 3], [-1, 3], [2, 0, 30030])),
 ], ids=["t2-t1cubed-t2p1", "t1-squared", "t-squared", "third-squared-30030"])
 def test_repeated_rational_root_raises(f):
     with ends_within(), pytest.raises(ValueError, match="squarefree"):
@@ -157,7 +159,7 @@ def test_repeated_rational_root_raises(f):
 def test_repeated_irrational_factor_ends():
     # no repeated rational root, so the prime search alone would answer;
     # the gcd up front rejects it all the same
-    f = product([T * T + Poly.constant(1)] * 2 + [T - Poly.constant(3)])
+    f = Poly.of(fraction_product([1, 0, 1], [1, 0, 1], [-3, 1]))
     with ends_within(), pytest.raises(ValueError, match="squarefree"):
         extract_rational_roots(f)
 
@@ -173,11 +175,11 @@ def test_gcd_matches_fraction_euclid_on_shared_factors():
     rng = random.Random(17)
     for _ in range(150):
         f, g, h = (random_poly(rng, rng.randint(-1, 4)) for _ in range(3))
-        a, b = f * h, g * h
+        a, b = product([f, h]), product([g, h])
         if a.is_zero or b.is_zero:
             continue
-        assert list(kernel_gcd(a, b).coeffs) == euclid_gcd(a.coeffs, b.coeffs)
-        assert list(kernel_gcd(b, a).coeffs) == euclid_gcd(b.coeffs, a.coeffs)
+        assert coefficients(kernel_gcd(a, b)) == euclid_gcd(coefficients(a), coefficients(b))
+        assert coefficients(kernel_gcd(b, a)) == euclid_gcd(coefficients(b), coefficients(a))
 
 
 @pytest.mark.parametrize("a, b", [
@@ -189,9 +191,9 @@ def test_gcd_with_zero_and_constant_arguments(a, b):
     if f.is_zero or g.is_zero:
         # the kernel takes nonzero arguments; gcd(f, 0) is f made monic
         rest = g if f.is_zero else f
-        assert euclid_gcd(a, b) == ([] if rest.is_zero else list(polynomials._monic(rest.ints).coeffs))
+        assert euclid_gcd(a, b) == ([] if rest.is_zero else coefficients(polynomials._monic(rest.ints)))
     else:
-        assert list(kernel_gcd(f, g).coeffs) == euclid_gcd(a, b)
+        assert coefficients(kernel_gcd(f, g)) == euclid_gcd(a, b)
 
 
 fraction_coeffs = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
@@ -201,9 +203,9 @@ fraction_coeffs = st.lists(st.fractions(min_value=-20, max_value=20, max_denomin
 @settings(deadline=None, max_examples=80)
 @given(f=fraction_coeffs, g=fraction_coeffs, h=fraction_coeffs)
 def test_gcd_matches_fraction_euclid_generated(f, g, h):
-    a, b = Poly.of(f) * Poly.of(h), Poly.of(g) * Poly.of(h)
+    a, b = Poly.of(fraction_product(f, h)), Poly.of(fraction_product(g, h))
     assume(not a.is_zero and not b.is_zero)
-    assert list(kernel_gcd(a, b).coeffs) == euclid_gcd(a.coeffs, b.coeffs)
+    assert coefficients(kernel_gcd(a, b)) == euclid_gcd(coefficients(a), coefficients(b))
 
 
 # --- the gcd's shortcuts: powers of t, and one image mod p ------------------------
@@ -215,10 +217,10 @@ P = polynomials._IMAGE_PRIME
 @given(a=st.integers(0, 4), b=st.integers(0, 4),
        f=fraction_coeffs, g=fraction_coeffs, h=fraction_coeffs)
 def test_gcd_with_powers_of_t_matches_fraction_euclid(a, b, f, g, h):
-    x = Poly.monomial(a) * Poly.of(f) * Poly.of(h)
-    y = Poly.monomial(b) * Poly.of(g) * Poly.of(h)
+    x = Poly.of(fraction_product([0] * a + [1], f, h))
+    y = Poly.of(fraction_product([0] * b + [1], g, h))
     assume(not x.is_zero and not y.is_zero)
-    assert list(kernel_gcd(x, y).coeffs) == euclid_gcd(x.coeffs, y.coeffs)
+    assert coefficients(kernel_gcd(x, y)) == euclid_gcd(coefficients(x), coefficients(y))
 
 
 @pytest.mark.parametrize("a, b, gcd", [
@@ -243,7 +245,7 @@ def test_gcd_with_powers_of_t_matches_fraction_euclid(a, b, f, g, h):
 ])
 def test_gcd_cases_the_image_must_not_decide_alone(a, b, gcd):
     for x, y in ((a, b), (b, a)):
-        assert list(kernel_gcd(Poly.of(x), Poly.of(y)).coeffs) == gcd
+        assert coefficients(kernel_gcd(Poly.of(x), Poly.of(y))) == gcd
         assert euclid_gcd(x, y) == gcd
 
 
@@ -262,8 +264,8 @@ def remainder_calls(monkeypatch):
 
 GENERIC = WeierstrassModel(Poly.of([3, -1, 0, 2, 0, 0, 1, 0, -2]),
                            Poly.of([1, 0, 4, -3, 0, 0, 0, 2, 0, 0, -1, 0, 5]))
-ADDITIVE = WeierstrassModel(Poly.monomial(2) * Poly.of([-1, 0, 3, 0, 1, 2]),
-                            Poly.monomial(3) * Poly.of([2, 1, 0, 0, -1, 0, 0, 0, 3]))
+ADDITIVE = WeierstrassModel(Poly.of([0, 0, -1, 0, 3, 0, 1, 2]),
+                            Poly.of([0, 0, 0, 2, 1, 0, 0, -1, 0, 0, 0, 3]))
 
 
 @pytest.mark.parametrize("model, parts", [(GENERIC, [(24, 1)]), (ADDITIVE, [(16, 1), (1, 6)])],
@@ -276,8 +278,7 @@ def test_discriminant_gcds_need_no_remainder_sequence(remainder_calls, model, pa
     assert [(piece.degree, mult) for piece, mult in pieces] == parts
     assert remainder_calls == []
     # a common factor other than a power of t still runs the sequence
-    assert kernel_gcd((T + Poly.constant(1)) * (T + Poly.constant(2)),
-                    (T + Poly.constant(1)) * (T + Poly.constant(3))) == T + Poly.constant(1)
+    assert kernel_gcd(Poly.of([2, 3, 1]), Poly.of([3, 4, 1])) == Poly.of([1, 1])
     assert remainder_calls
 
 

@@ -1,4 +1,4 @@
-"""Generated checks of Poly arithmetic, gcd, Yun splitting, valuation
+"""Generated checks of Poly normal forms, gcd, Yun splitting, valuation
 refinement and the rational-root cofactor against the Fraction oracles.
 
 The polynomials have rational content other than 1 and, half the time, a
@@ -21,6 +21,7 @@ from k3lattices.polynomials import (
 )
 
 from oracles import (
+    coefficients,
     divisor_rational_roots,
     euclid_gcd,
     fraction_divmod,
@@ -44,43 +45,29 @@ multiplicities = st.dictionaries(st.integers(0, len(IRREDUCIBLE) - 1),
 def coeffs_of(p):
     """The coefficient list of a Poly, checking that each is a Fraction and
     that p is stored in the one normal form Poly.of gives."""
-    assert all(type(c) is Fraction for c in p.coeffs)
-    assert Poly.of(p.coeffs) == p
-    return list(p.coeffs)
-
-
-def product_of(lists):
-    out = [Fraction(1)]
-    for f in lists:
-        out = fraction_product(out, f)
-    return out
+    cs = coefficients(p)
+    assert all(type(c) is Fraction for c in cs)
+    assert Poly.of(cs) == p
+    return cs
 
 
 def power_product(mults, content):
     factors = [IRREDUCIBLE[i] for i, m in mults.items() for _ in range(m)]
-    return [c * content for c in product_of(factors)]
-
-
-@settings(deadline=None, max_examples=150)
-@given(a=rational_lists, b=rational_lists)
-def test_ring_operations_match_fraction_arithmetic(a, b):
-    f, g = Poly.of(a), Poly.of(b)
-    assert coeffs_of(f) == fraction_sum(a, [])
-    assert coeffs_of(f + g) == fraction_sum(a, b)
-    assert coeffs_of(f - g) == fraction_sum(a, [-c for c in b])
-    assert coeffs_of(f * g) == fraction_product(a, b)
-    assert coeffs_of(-f) == fraction_sum([-c for c in a], [])
-    if not f.is_zero:
-        assert coeffs_of(_monic(f.ints)) == [c / f.leading for c in coeffs_of(f)]
-        assert f.leading == fraction_sum(a, [])[-1]
+    return [c * content for c in fraction_product(*factors)]
 
 
 @settings(deadline=None, max_examples=120)
 @given(a=rational_lists, b=rational_lists, common=rational_lists)
 def test_gcd_matches_fraction_euclid(a, b, common):
-    f, g = Poly.of(a) * Poly.of(common), Poly.of(b) * Poly.of(common)
+    # the normal form of Poly.of: the trimmed list, its monic form and leading entry
+    f = Poly.of(a)
+    assert coeffs_of(f) == fraction_sum(a, [])
+    if not f.is_zero:
+        assert coeffs_of(_monic(f.ints)) == [c / f.leading for c in coeffs_of(f)]
+        assert f.leading == fraction_sum(a, [])[-1]
+    f, g = Poly.of(fraction_product(a, common)), Poly.of(fraction_product(b, common))
     assume(not f.is_zero and not g.is_zero)
-    assert coeffs_of(_monic(_gcd_ints(f.ints, g.ints))) == euclid_gcd(f.coeffs, g.coeffs)
+    assert coeffs_of(_monic(_gcd_ints(f.ints, g.ints))) == euclid_gcd(coeffs_of(f), coeffs_of(g))
 
 
 @settings(deadline=None, max_examples=100)
@@ -104,7 +91,7 @@ def test_uniform_valuations_match_derivative_gcds(mults, content, chosen,
     f = power_product(mults, content)
     if any(extra):
         f = fraction_product(f, extra)
-    modulus = [c * modulus_content for c in product_of(IRREDUCIBLE[i] for i in chosen)]
+    modulus = [c * modulus_content for c in fraction_product(*[IRREDUCIBLE[i] for i in chosen])]
     split = uniform_valuations(Poly.of(f), Poly.of(modulus))
     assert [v for _, v in split] == sorted({v for _, v in split})
     assert {v: coeffs_of(p) for p, v in split} == valuation_layers(f, modulus)
@@ -118,11 +105,11 @@ linear_roots = st.sets(st.tuples(st.integers(-12, 12), st.integers(1, 8)).map(
 @given(roots=linear_roots, cofactor=integer_lists, content=contents)
 def test_rational_root_cofactor_matches_division(roots, cofactor, content):
     lines = [[-r.numerator, r.denominator] for r in roots]
-    f = [c * content for c in product_of(lines + [cofactor])]
+    f = [c * content for c in fraction_product(*lines, cofactor)]
     assume(f and len(euclid_gcd(f, [k * c for k, c in enumerate(f)][1:])) == 1)
     found, rest = extract_rational_roots(Poly.of(f))
     assert found == sorted(roots | set(divisor_rational_roots(cofactor)))
-    quot, rem = fraction_divmod(f, product_of([[-r, 1] for r in found]))
+    quot, rem = fraction_divmod(f, fraction_product(*[[-r, 1] for r in found]))
     assert not rem
     assert coeffs_of(rest) == quot
     assert all(type(r) is Fraction for r in found)

@@ -1,6 +1,5 @@
 """Tests for the exact polynomial toolkit."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ from k3lattices.polynomials import (
     uniform_valuations,
 )
 
-from oracles import fraction_divmod
+from oracles import coefficients, fraction_divmod, fraction_product
 
 
 def t_power(k, coeff=1):
@@ -25,10 +24,13 @@ def t_power(k, coeff=1):
 
 T = t_power(1)
 ONE = Poly.constant(1)
+T_MINUS_2 = Poly.of([-2, 1])
+T_PLUS_1 = Poly.of([1, 1])
 
 
-def power(f, k):
-    return math.prod([f] * k, start=ONE)
+def product(*factors):
+    """The product of coefficient lists by the Fraction oracle, as a Poly."""
+    return Poly.of(fraction_product(*factors))
 
 
 def random_poly(rng, max_degree=6):
@@ -42,7 +44,7 @@ def random_poly(rng, max_degree=6):
 
 
 def test_normalization_strips_trailing_zeros():
-    assert Poly.of([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
+    assert coefficients(Poly.of([1, 2, 0, 0])) == [Fraction(1), Fraction(2)]
     assert Poly.of([0, 0]).is_zero
     assert Poly.of([]).degree == -1
     assert Poly.of([0, 0, 3]).degree == 2
@@ -55,16 +57,6 @@ def test_coefficients_must_be_exact():
         Poly.of([True, 1])
 
 
-def test_arithmetic_identities():
-    f = Poly.of([1, 0, 1])          # t^2 + 1
-    g = Poly.of([-1, 1])            # t - 1
-    assert f * g == Poly.of([-1, 1, -1, 1])
-    assert f + g == Poly.of([0, 1, 1])
-    assert f - f == Poly.of([])
-    assert 3 * g == Poly.of([-3, 3])
-    assert power(T + ONE, 4) == Poly.of([1, 4, 6, 4, 1])
-
-
 def test_gcd_divides_common_factor():
     rng = random.Random(23)
     for _ in range(40):
@@ -73,37 +65,38 @@ def test_gcd_divides_common_factor():
         h = random_poly(rng, 3)
         if h.is_zero or f.is_zero or g.is_zero:
             continue
-        d = _monic(_gcd_ints((f * h).ints, (g * h).ints))
-        assert not fraction_divmod(d.coeffs, h.coeffs)[1]
+        fh = product(coefficients(f), coefficients(h))
+        gh = product(coefficients(g), coefficients(h))
+        d = _monic(_gcd_ints(fh.ints, gh.ints))
+        assert not fraction_divmod(coefficients(d), coefficients(h))[1]
 
 
 def test_gcd_edge_cases():
-    assert _monic(_gcd_ints(Poly.of([2]).ints, (T * 5).ints)) == ONE
+    assert _monic(_gcd_ints(Poly.of([2]).ints, Poly.of([0, 5]).ints)) == ONE
 
 
 def test_derivative_and_monic():
     f = Poly.of([0, -2, 0, 1])      # t^3 - 2t
     assert f.derivative() == Poly.of([-2, 0, 3])
-    assert _monic((f * 4).ints) == f
+    assert _monic(Poly.of([0, -8, 0, 4]).ints) == f
 
 
 def test_uniform_valuations_counts_multiplicity_at_a_root():
-    f = power(T - 2 * ONE, 3) * (T + ONE)
-    assert uniform_valuations(f, T - 2 * ONE) == [(T - 2 * ONE, 3)]
-    assert uniform_valuations(f, T + ONE) == [(T + ONE, 1)]
+    f = product([-2, 1], [-2, 1], [-2, 1], [1, 1])   # (t - 2)^3 (t + 1)
+    assert uniform_valuations(f, T_MINUS_2) == [(T_MINUS_2, 3)]
+    assert uniform_valuations(f, T_PLUS_1) == [(T_PLUS_1, 1)]
     assert uniform_valuations(f, T) == [(T, 0)]
     with pytest.raises(ValueError):
-        uniform_valuations(Poly.of([]), T - ONE)
+        uniform_valuations(Poly.of([]), Poly.of([-1, 1]))
 
 
 def test_squarefree_parts_reconstructs():
-    f = t_power(3) * power(T - ONE, 2) * (T + 2 * ONE) * 6
+    f = product([0, 0, 0, 6], [-1, 1], [-1, 1], [2, 1])   # 6 t^3 (t - 1)^2 (t + 2)
     unit, parts = squarefree_parts(f)
     assert unit == 6
-    assert [(str(p), m) for p, m in parts] == [("t + 2", 1), ("t - 1", 2), ("t", 3)]
-    rebuilt = Poly.constant(unit)
-    for piece, mult in parts:
-        rebuilt = rebuilt * power(piece, mult)
+    assert [(format_poly(p), m) for p, m in parts] == [("t + 2", 1), ("t - 1", 2), ("t", 3)]
+    rebuilt = product([unit], *[coefficients(piece) for piece, mult in parts
+                                for _ in range(mult)])
     assert rebuilt == f
 
 
@@ -115,22 +108,19 @@ def test_squarefree_parts_trivial_cases():
 
 
 def test_uniform_valuations_splits_modulus():
-    seventh = t_power(7) - 2 * ONE
-    f = t_power(3) * seventh * seventh * (T + ONE)
-    modulus = T * seventh * (T + ONE) * (T - 5 * ONE)
+    seventh = [-2, 0, 0, 0, 0, 0, 0, 1]   # t^7 - 2
+    f = product([0, 0, 0, 1], seventh, seventh, [1, 1])
+    modulus = product([0, 1], seventh, [1, 1], [-5, 1])
     split = uniform_valuations(f, modulus)
-    assert [(str(p), v) for p, v in split] == [
+    assert [(format_poly(p), v) for p, v in split] == [
         ("t - 5", 0), ("t + 1", 1), ("t^7 - 2", 2), ("t", 3)]
     # pieces jointly recover the modulus
-    product = ONE
-    for piece, _ in split:
-        product = product * piece
-    assert product == _monic(modulus.ints)
+    assert product(*[coefficients(piece) for piece, _ in split]) == _monic(modulus.ints)
 
 
 def test_uniform_valuations_nonvanishing():
-    split = uniform_valuations(ONE * 3, T * (T - ONE))
-    assert [(str(p), v) for p, v in split] == [("t^2 - t", 0)]
+    split = uniform_valuations(Poly.constant(3), Poly.of([0, -1, 1]))
+    assert [(format_poly(p), v) for p, v in split] == [("t^2 - t", 0)]
     with pytest.raises(ValueError):
         uniform_valuations(Poly.of([]), T)
     with pytest.raises(ValueError):
@@ -138,24 +128,25 @@ def test_uniform_valuations_nonvanishing():
 
 
 def test_extract_rational_roots():
-    f = T * (T - 2 * ONE) * (2 * T + ONE) * (T * T + ONE)
+    t2_plus_1 = Poly.of([1, 0, 1])
+    f = product([0, 1], [-2, 1], [1, 2], [1, 0, 1])   # t (t - 2) (2t + 1) (t^2 + 1)
     roots, cofactor = extract_rational_roots(f)
     assert roots == [Fraction(-1, 2), Fraction(0), Fraction(2)]
-    assert _monic(cofactor.ints) == T * T + ONE
-    roots, cofactor = extract_rational_roots(T * T + ONE)
-    assert roots == [] and cofactor == T * T + ONE
+    assert _monic(cofactor.ints) == t2_plus_1
+    roots, cofactor = extract_rational_roots(t2_plus_1)
+    assert roots == [] and cofactor == t2_plus_1
 
 
 def test_format_poly():
-    assert format_poly(t_power(7) - 2 * ONE) == "t^7 - 2"
-    assert format_poly(t_power(7, 27) + 4 * ONE) == "27*t^7 + 4"
+    assert format_poly(Poly.of([-2, 0, 0, 0, 0, 0, 0, 1])) == "t^7 - 2"
+    assert format_poly(Poly.of([4, 0, 0, 0, 0, 0, 0, 27])) == "27*t^7 + 4"
     assert format_poly(Poly.of([])) == "0"
     assert format_poly(Poly.constant(-5)) == "-5"
-    assert format_poly(t_power(14, -432) + t_power(7, 864)) == "-432*t^14 + 864*t^7"
-    assert format_poly(ONE - T) == "-t + 1"
+    assert format_poly(Poly.of([0] * 7 + [864] + [0] * 6 + [-432])) == "-432*t^14 + 864*t^7"
+    assert format_poly(Poly.of([1, -1])) == "-t + 1"
     assert format_poly(Poly.of([Fraction(-5, 3), 0, Fraction(2, 9)])) == "2/9*t^2 - 5/3"
     assert format_poly(Poly.of([0, Fraction(-1, 2)])) == "-1/2*t"
     assert format_poly(Poly.of([Fraction(3, 7)])) == "3/7"
     assert format_poly(Poly.of([Fraction(1, 6), Fraction(-1, 4), Fraction(2, 3)])) \
         == "2/3*t^2 - 1/4*t + 1/6"
-    assert str(t_power(2)) == "t^2"
+    assert format_poly(t_power(2)) == "t^2"
