@@ -20,6 +20,7 @@ from typing import Sequence
 from .fibration import (
     FibrationAnalysis,
     FibrationModel,
+    _euler_total,
     analyze_k3,
     check_fibration_rules,
     fiber_specs_from_json,
@@ -145,7 +146,7 @@ def _report_analysis(analysis: FibrationAnalysis, as_json: bool) -> int:
 def _report_fibration_json(data: dict, as_json: bool) -> int:
     specs, mw_rank = fiber_specs_from_json(data)
     rows = [_fiber_row(f.place, f.kodaira, f.count) for f in specs]
-    euler_total = sum(euler * count for _, _, count, euler, _, _ in rows)
+    euler_total = _euler_total(specs)
     if euler_total != 24:
         check_fibration_rules(specs, mw_rank)
         if not as_json:

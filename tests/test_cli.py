@@ -1,9 +1,12 @@
 """End-to-end tests for the command line interface, run in-process but
-for one run in a subprocess whose stdout is closed early."""
+for a run whose stdout is closed early and the wide-entry rank-26 Grams,
+which run in subprocesses."""
 
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -113,6 +116,33 @@ def test_lattice_info_rank_26_is_answered(capsys, tmp_path):
     code, out, err = run(capsys, "lattice-info", str(path))
     assert code == 2
     assert err == "error: 'gram' has more than 26 rows\n"
+
+
+def random_even_gram(bits, rank=26, seed=1):
+    """Off-diagonal entries uniform in +-2^(bits-1), diagonal entries twice
+    a uniform value in +-2^(bits-2)."""
+    rng = random.Random(seed)
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 * rng.randint(-2 ** (bits - 2), 2 ** (bits - 2))
+        for j in range(i + 1, rank):
+            gram[i][j] = gram[j][i] = rng.randint(-2 ** (bits - 1), 2 ** (bits - 1))
+    return gram
+
+
+@pytest.mark.parametrize("bits", [16, 64])
+def test_lattice_info_answers_wide_rank_26_grams(tmp_path, bits):
+    # no time is asserted; the timeout only keeps a hang finite
+    path = tmp_path / f"rank26-{bits}bit.json"
+    path.write_text(json.dumps({"gram": random_even_gram(bits)}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "k3lattices.cli", "lattice-info", str(path),
+                           "--json"], capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = json.loads(proc.stdout)
+    factors = [int(d) for d in data["discriminant_group"]["invariant_factors"]]
+    assert math.prod(factors) == abs(int(data["det"])) != 0
 
 
 @pytest.mark.parametrize("label", [None, 5, [1, 2]], ids=["null", "number", "list"])
@@ -299,6 +329,21 @@ def test_fiber_components_must_form_a_list(capsys, tmp_path):
                                             "components": "ab"}], "mw_rank": 0}))
     code, out, err = run(capsys, "fibration", str(path))
     assert (code, out, err) == (2, "", "error: components must form a list\n")
+
+
+# a non-ASCII digit, a leading zero and a trailing newline
+@pytest.mark.parametrize("tag", ["I١٢", "I06", "I7\n"],
+                         ids=["arabic-indic", "leading-zero", "newline"])
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_fiber_types_must_be_canonical_ascii_tags(capsys, tmp_path, tag, as_json):
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({"fibers": [{"place": "0", "type": "II*"},
+                                           {"place": "inf", "type": tag},
+                                           {"place": "1", "type": "I1", "count": 6}],
+                                "mw_rank": 0}))
+    code, out, err = run(capsys, "fibration", str(path), *(["--json"] if as_json else []))
+    assert (code, out, err) == (2, "", f"error: unknown Kodaira type {tag!r}\n")
+
 
 @pytest.mark.parametrize("argv", [["lattice-info"], ["fibration"], ["fibration", "--json"]])
 def test_deeply_nested_json_is_bad_input(capsys, tmp_path, argv):

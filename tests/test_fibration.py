@@ -2,6 +2,7 @@
 intersection-lattice builder."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -139,24 +140,24 @@ def _place(w, place):
 def test_classify_known_places():
     w = weierstrass_model("i7e8")
     zero = _place(w, "0")
-    assert (zero.kodaira, zero.euler, zero.components, zero.root_contribution) \
-        == ("I7", 7, 7, "A6")
+    assert (zero.kodaira, *kodaira_data(zero.kodaira)) == ("I7", 7, 7, "A6")
     inf = _place(w, "inf")
-    assert (inf.kodaira, inf.euler, inf.components, inf.root_contribution) \
-        == ("II*", 10, 9, "E8")
+    assert (inf.kodaira, *kodaira_data(inf.kodaira)) == ("II*", 10, 9, "E8")
 
     w = weierstrass_model("e7e6")
     zero = _place(w, "0")
-    assert (zero.kodaira, zero.euler, zero.root_contribution) == ("III*", 9, "E7")
+    euler, _, root = kodaira_data(zero.kodaira)
+    assert (zero.kodaira, euler, root) == ("III*", 9, "E7")
     inf = _place(w, "inf")
-    assert (inf.kodaira, inf.euler, inf.root_contribution) == ("IV*", 8, "E6")
+    euler, _, root = kodaira_data(inf.kodaira)
+    assert (inf.kodaira, euler, root) == ("IV*", 8, "E6")
 
 
 def test_classify_a4_identically_zero():
     # y^2 = x^3 + t^5: valuations (inf, 5, 10) at the origin
     w = WeierstrassModel(Poly.constant(0), Poly.monomial(5))
     report = _place(w, "0")
-    assert (report.kodaira, report.euler) == ("II*", 10)
+    assert (report.kodaira, kodaira_data(report.kodaira)[0]) == ("II*", 10)
 
 
 def test_non_minimal_place_raises_with_hint():
@@ -232,7 +233,7 @@ def test_analyze_trivial_model_flags():
 
 
 def _reports(analysis):
-    return [(r.place, r.kodaira, r.euler, r.components, r.root_contribution, r.count)
+    return [(r.place, r.kodaira, *kodaira_data(r.kodaira), r.count)
             for r in analysis.fibers]
 
 
@@ -283,9 +284,69 @@ def test_fiber_graphs_satisfy_affine_balance():
 
 
 def test_fiber_graph_counts_match_catalog():
-    for tag in ("I5", "III", "IV", "I0*", "I2*", "IV*", "III*", "II*"):
+    for tag in ("I1", "I2", "I3", "I5", "III", "IV", "I0*", "I1*", "I2*", "I3*", "I4*",
+                "IV*", "III*", "II*"):
         graph = fiber_graph(tag)
         assert len(graph.multiplicities) == kodaira_data(tag)[1]
+
+
+_CHAIN = ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 7, 1),
+          (7, 8, 1))
+
+# tag: (kodaira_data, multiplicities, edges) as literals, so that any change to the
+# Kodaira catalogue shows here
+PINNED_CATALOGUE = {
+    "I1": ((1, 1, None), (1,), ()),
+    "I2": ((2, 2, "A1"), (1, 1), ((0, 1, 2),)),
+    "I3": ((3, 3, "A2"), (1, 1, 1), ((0, 1, 1), (1, 2, 1), (0, 2, 1))),
+    "I4": ((4, 4, "A3"), (1,) * 4, _CHAIN[:3] + ((3, 0, 1),)),
+    "I5": ((5, 5, "A4"), (1,) * 5, _CHAIN[:4] + ((4, 0, 1),)),
+    "I6": ((6, 6, "A5"), (1,) * 6, _CHAIN[:5] + ((5, 0, 1),)),
+    "I7": ((7, 7, "A6"), (1,) * 7, _CHAIN[:6] + ((6, 0, 1),)),
+    "I8": ((8, 8, "A7"), (1,) * 8, _CHAIN[:7] + ((7, 0, 1),)),
+    "I9": ((9, 9, "A8"), (1,) * 9, _CHAIN + ((8, 0, 1),)),
+    "I0*": ((6, 5, "D4"), (1, 1, 2, 1, 1),
+            ((0, 2, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1))),
+    "I1*": ((7, 6, "D5"), (1, 1, 2, 2, 1, 1),
+            ((0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1))),
+    "I2*": ((8, 7, "D6"), (1, 1, 2, 2, 2, 1, 1),
+            ((0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (4, 6, 1))),
+    "I3*": ((9, 8, "D7"), (1, 1, 2, 2, 2, 2, 1, 1),
+            ((0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1),
+             (5, 7, 1))),
+    "I4*": ((10, 9, "D8"), (1, 1, 2, 2, 2, 2, 2, 1, 1),
+            ((0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1),
+             (6, 7, 1), (6, 8, 1))),
+    "II": ((2, 1, None), (1,), ()),
+    "III": ((3, 2, "A1"), (1, 1), ((0, 1, 2),)),
+    "IV": ((4, 3, "A2"), (1, 1, 1), ((0, 1, 1), (1, 2, 1), (0, 2, 1))),
+    "IV*": ((8, 7, "E6"), (1, 2, 3, 2, 1, 2, 1),
+            ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (2, 5, 1), (5, 6, 1))),
+    "III*": ((9, 8, "E7"), (1, 2, 3, 4, 3, 2, 1, 2), _CHAIN[:6] + ((3, 7, 1),)),
+    "II*": ((10, 9, "E8"), (1, 2, 3, 4, 5, 6, 4, 2, 3), _CHAIN[:7] + ((5, 8, 1),)),
+}
+
+
+@pytest.mark.parametrize("tag", PINNED_CATALOGUE)
+def test_catalogue_is_pinned(tag):
+    data, multiplicities, edges = PINNED_CATALOGUE[tag]
+    assert kodaira_data(tag) == data
+    assert fiber_graph(tag) == FiberGraph(multiplicities, edges)
+
+
+def test_i0_has_no_dual_graph():
+    with pytest.raises(ValueError, match=r"^no dual graph for 'I0'$"):
+        fiber_graph("I0")
+
+
+@pytest.mark.parametrize("tag", ["I١٢", "I06", "I7\n", "I00", "I01*", "V",
+                                 "I-1", "i7", " I7", "II**", ""])
+def test_non_canonical_tags_are_unknown(tag):
+    message = f"^unknown Kodaira type {re.escape(repr(tag))}$"
+    with pytest.raises(ValueError, match=message):
+        kodaira_data(tag)
+    with pytest.raises(ValueError, match=message):
+        fiber_graph(tag)
 
 
 def test_corrupted_graph_fails_affine_check():
@@ -505,7 +566,8 @@ def test_analyze_k3_matches_the_valuation_oracle(coeffs):
                 for r in analysis.fibers if "t" not in r.place or r.place == "inf"}
     assert rational == expected
     finite = [r for r in analysis.fibers if r.place != "inf"]
-    assert sum(r.euler * r.count for r in finite) == w.discriminant.degree
+    euler = sum(kodaira_data(r.kodaira)[0] * r.count for r in finite)
+    assert euler == w.discriminant.degree
 
 
 def test_valuations_at_zero_are_read_off_the_low_order_coefficients():

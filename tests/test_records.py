@@ -50,11 +50,9 @@ RECORDS = {
                                                 Poly.of([-1, 0, 0, 0, 0, 0, 0, 1]), "i7e8",
                                                 Fraction(-27, 4)),
                        ("a4", "a6", "label", "a4_scale_cubed")),
-    FiberReport: (lambda: FiberReport("0", "I7", 7, 7, "A6"),
-                  ("place", "kodaira", "euler", "components", "root_contribution",
-                   "count")),
-    FibrationAnalysis: (lambda: FibrationAnalysis("i7e8", (FiberReport("inf", "II*", 10, 9,
-                                                                       "E8"),), 10, 20, 0),
+    FiberReport: (lambda: FiberReport("0", "I7"), ("place", "kodaira", "count")),
+    FibrationAnalysis: (lambda: FibrationAnalysis("i7e8", (FiberReport("inf", "II*"),),
+                                                  10, 20, 0),
                         ("label", "fibers", "euler_total", "ns_rank", "mw_rank", "notes")),
     FiberGraph: (lambda: FiberGraph((1, 1), ((0, 1, 2),)), ("multiplicities", "edges")),
     FiberSpec: (lambda: FiberSpec("0", "I2", "a", ("a", "b")),
@@ -141,7 +139,7 @@ def test_construction_keeps_positional_keywords_and_defaults():
     w = WeierstrassModel(Poly.of([8]), Poly.of([1]))
     assert (w.label, w.a4_scale_cubed) == ("", 1)
     assert FiberSpec("0", "I1", count=3) == FiberSpec("0", "I1", "", (), 3)
-    assert FiberReport("0", "I1", 1, 1, None).count == 1
+    assert FiberReport("0", "I1").count == 1
     assert FibrationAnalysis("", (), 0, 20, 0).notes == ()
 
 
