@@ -24,7 +24,6 @@ from .sublattices import (
     Overlattice,
     Sublattice,
     enumerate_even_overlattices,
-    half_sum_search,
     is_primitive,
     orthogonal_complement,
     solve_glue,
@@ -81,7 +80,6 @@ __all__ = [
     "extract_rational_roots",
     "fixed_locus_table",
     "fixed_pair_search",
-    "half_sum_search",
     "hermite_normal_form",
     "integer_kernel",
     "is_primitive",

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from ._record import Record, set_field
 from .intmat import IntMatrix
-from .lattices import Lattice
+from .lattices import Lattice, _read_decimal
 from .polynomials import (
     Poly,
     Rational,
@@ -163,7 +163,7 @@ def _kodaira_family(tag: str) -> tuple[int, bool] | None:
     if m is None:
         raise ValueError(f"unknown Kodaira type {tag!r}")
     n, star = m.groups()
-    return int(n), star == "*"
+    return _read_decimal(n, "the n of Kodaira type I_n"), star == "*"
 
 
 def kodaira_data(tag: str) -> tuple[int, int, str | None]:
@@ -503,25 +503,27 @@ def extract_chain(ns: NeronSeveri, labels: Sequence[str]) -> Sublattice:
     return sub
 
 
-def _as_rational(value, message: str = "rationals must be integers or strings "
-                                       "like '-27/4'") -> Rational:
+def _as_rational(value, field: str, message: str = "rationals must be integers or "
+                                                   "strings like '-27/4'") -> Rational:
     """A non-bool int or an ASCII string n or n/d; Fraction alone would also
     read decimals and exponents, and expand "1e10000000" digit by digit."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if not isinstance(value, str) or not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
         raise ValueError(message)
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+    numerator, _, denominator = value.partition("/")
+    n = _read_decimal(numerator, field)
+    d = _read_decimal(denominator, f"the denominator of {field}") if denominator else 1
+    if d == 0:
+        raise ValueError(f"zero denominator in {value!r}")
+    return Fraction(n, d)
 
 
-def _poly_from_json(values) -> Poly:
+def _poly_from_json(values, name: str) -> Poly:
     if not isinstance(values, list):
         raise ValueError("polynomial coefficients must form a list, "
                          "constant term first")
-    return Poly.of([_as_rational(v) for v in values])
+    return Poly.of([_as_rational(v, f"an {name} coefficient") for v in values])
 
 
 def weierstrass_from_data(data) -> WeierstrassModel:
@@ -531,21 +533,22 @@ def weierstrass_from_data(data) -> WeierstrassModel:
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ValueError("label must be a string")
-    a6 = _poly_from_json(data["a6"])
+    a6 = _poly_from_json(data["a6"], "a6")
     if ("a4" in data) == ("a4_cubed" in data):
         raise ValueError("give exactly one of a4 and a4_cubed")
     if "a4" in data:
-        return WeierstrassModel(_poly_from_json(data["a4"]), a6, label)
-    a4_cubed = _as_rational(data["a4_cubed"], "a4_cubed must be one rational (an "
-                            "integer or a string like '-27/4')")
+        return WeierstrassModel(_poly_from_json(data["a4"], "a4"), a6, label)
+    a4_cubed = _as_rational(data["a4_cubed"], "a4_cubed", "a4_cubed must be one "
+                            "rational (an integer or a string like '-27/4')")
     return WeierstrassModel.from_a4_cubed(a4_cubed, a6, label)
 
 
 def _json_int(value, name: str) -> int:
     """A JSON integer: a non-bool int, or a string of decimal digits."""
-    if isinstance(value, int) and not isinstance(value, bool) or \
-            isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
-        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return _read_decimal(value, name)
     raise ValueError(f"{name} must be an integer, not {value!r}")
 
 

@@ -207,6 +207,11 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     sit at the bottom.  Each row is kept as one list [a_i | u_i], the
     identity appended, so every row step of _hermite_rows on a_i is done
     on u_i too.
+
+    No package path calls it: the package's Hermite steps run in
+    _hermite_rows, and its one caller, unimodular_inverse, has no caller
+    in the package.  It is kept as the public entry, with its transform,
+    that the normal_forms benchmark times.
     """
     rows, cols = m.rows, m.cols
     w = [list(row) + [0] * i + [1] + [0] * (rows - 1 - i) for i, row in enumerate(m.entries)]

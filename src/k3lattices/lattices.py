@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -149,7 +150,7 @@ def make_named(name: str) -> Lattice:
     if not m:
         raise ValueError(f"unrecognized lattice name {name!r}")
     family, arg = m.group(1), m.group(2) or m.group(3)
-    n = int(arg) if arg is not None else None
+    n = _read_decimal(arg, f"the parameter of {family}") if arg is not None else None
 
     if family == "U":
         if n is None:
@@ -268,6 +269,17 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
     if group.order != abs(l.det):
         raise AssertionError("group order disagrees with the determinant")
     return group
+
+
+def _read_decimal(digits: str, field: str) -> int:
+    """int() of an optionally signed string of ASCII digits, with CPython's
+    limit on their number (sys.get_int_max_str_digits) reported as bad
+    input that names the field."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{field} has more than {sys.get_int_max_str_digits()} "
+                         "digits") from None
 
 
 def decode_json(text: str):

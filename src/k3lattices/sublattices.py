@@ -1,10 +1,9 @@
 """Sublattices of a fixed ambient lattice and finite-index glue.
 
 Each Sublattice keeps the one Smith form of its generator matrix;
-primitivity, the half-integral generator sums and the glue of a
-primitive corank-1 sublattice are all read off it.  Also covers
-orthogonal complements and the enumeration of even overlattices
-obtained by adjoining a single glue vector.
+primitivity and the glue of a primitive corank-1 sublattice are both
+read off it.  Also covers orthogonal complements and the enumeration of
+even overlattices obtained by adjoining a single glue vector.
 """
 
 from __future__ import annotations
@@ -60,27 +59,6 @@ def is_primitive(s: Sublattice) -> bool:
     """Whether s is saturated in its ambient lattice."""
     # the columns are independent, so s is saturated iff every invariant factor is 1
     return all(x == 1 for x in s.smith[0])
-
-
-def half_sum_search(s: Sublattice) -> list[tuple[int, ...]]:
-    """All nonempty subsets J of generators whose half-sum is integral.
-
-    With left @ coords @ right == diag(d), coords @ x is even iff
-    (right^-1 @ x)[i] is even for every odd d[i], so the subsets are the
-    supports of the nonzero mod-2 sums of the columns j of right with
-    d[j] even.  Those columns are independent mod 2, so there are
-    2^e - 1 distinct subsets for e even invariant factors; e is capped
-    at 24.
-    """
-    d, _, right = s.smith
-    basis = [sum(1 << i for i, x in enumerate(right.col(j)) if x % 2)
-             for j, dj in enumerate(d) if dj % 2 == 0]
-    if len(basis) > 24:
-        raise ValueError("half-sum subsets number 2^e - 1; 24 even invariant factors max")
-    sums = [0]
-    for b in basis:
-        sums += [x ^ b for x in sums]
-    return sorted(tuple([i for i in range(s.rank) if x >> i & 1]) for x in sums[1:])
 
 
 class GlueSolution(Record):

@@ -37,7 +37,7 @@ from .fixtures import (
     reference_neron_severi,
     weierstrass_model,
 )
-from .sublattices import Overlattice, half_sum_search, is_primitive
+from .sublattices import Overlattice, is_primitive
 
 
 class CheckResult(Record):
@@ -171,9 +171,10 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         sub = chain_sublattice(name)
         induces_a15 = sub.induced_gram() == a15_gram
         primitive = is_primitive(sub)
-        half = half_sum_search(sub)
+        # independent generators: integral half-sums = mod-2 span of right's even-d columns
+        half = 2 ** sum(1 for d in sub.smith[0] if d % 2 == 0) - 1
         chain_ok &= induces_a15 and primitive and not half
-        chain_values[name] = f"A15={induces_a15} primitive={primitive} half_sums={len(half)}"
+        chain_values[name] = f"A15={induces_a15} primitive={primitive} half_sums={half}"
     add("07-chains",
         "both 15-chains induce A15 primitively, with no half-integral sums",
         chain_ok, chain_values)
@@ -216,22 +217,21 @@ def run_verification(perturb: bool = False) -> VerificationReport:
         len(pair) == 2 and swapped and even_dets,
         {"count": len(pair), "dynkin_swapped": swapped})
 
-    expected_counts = {
-        "U + K7": (2, 1, 0), "U(7) + K7": (2, 1, 0),
-        "U + E8": (4, 3, 1), "U(7) + E8": (4, 3, 1),
-        "U + E8 + A6": (6, 5, 2),
-    }
-    profiles = {name: fixed_locus_table(make_named(name)) for name in INVARIANT_LATTICES}
-    table_ok = True
-    totals = []
-    for name, profile in profiles.items():
-        table_ok &= (profile.n26, profile.n35, profile.n44) == expected_counts[name]
-        totals.append(profile.points)
-    table_ok &= totals == [3, 3, 8, 8, 13]
+    profiles = {}
+    rejected = {}
+    for name in INVARIANT_LATTICES:
+        try:
+            profiles[name] = fixed_locus_table(make_named(name))
+        except ValueError as exc:
+            rejected[f"rejected {name}"] = exc
+    counts = [(p.n26, p.n35, p.n44) for p in profiles.values()]
+    totals = [p.points for p in profiles.values()]
+    table_ok = (not rejected and totals == [3, 3, 8, 8, 13]
+                and counts == [(2, 1, 0), (2, 1, 0), (4, 3, 1), (4, 3, 1), (6, 5, 2)])
     add("10-fixed-locus",
         "the five rows count (2,1,0), (2,1,0), (4,3,1), (4,3,1), (6,5,2) "
         "isolated points, 3 + 3 + 8 + 8 + 13 in total",
-        table_ok, {"point_totals": totals})
+        table_ok, {"point_totals": totals, **rejected})
 
     lefschetz_ok = all(map(lefschetz_check, profiles.values()))
     add("11-lefschetz",
@@ -246,6 +246,7 @@ def run_verification(perturb: bool = False) -> VerificationReport:
                     and walk.isolated("P26") == EXPECTED_P26
                     and walk.isolated("P35") == EXPECTED_P35
                     and walk.isolated("P44") == EXPECTED_P44
+                    and "U + E8 + A6" in profiles
                     and count_check(walk, profiles["U + E8 + A6"]))
     # the chain's curves are C1..C15, so a label maps back to its position
     pairs = sorted(tuple(sorted(int(c[1:]) for c in pair))

@@ -478,6 +478,33 @@ def test_i7e8_rescaled_by_a_3997_digit_denominator(capsys, tmp_path):
     assert json.loads(out) == dict(json.loads(reference), label="")
 
 
+# CPython 3.11 and 3.10.7+ convert integer strings of at most this many digits
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "9" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
+@pytest.mark.parametrize("command, data, field", [
+    ("fibration", {"fibers": [{"place": "0", "type": "I" + LONG}], "mw_rank": 0},
+     "the n of Kodaira type I_n"),
+    ("fibration", {"fibers": [{"place": "0", "type": "I7", "count": LONG}],
+                   "mw_rank": 0}, "count"),
+    ("fibration", {"a4": [1], "a6": [0, LONG]}, "an a6 coefficient"),
+    ("fibration", {"a4": ["1/" + LONG], "a6": [1]}, "the denominator of an a4 coefficient"),
+    ("fibration", {"a4_cubed": LONG + "/7", "a6": [1]}, "a4_cubed"),
+    ("lattice-info", f"U({LONG})", "the parameter of U"),
+], ids=["kodaira-tag", "count", "coefficient", "denominator", "a4-cubed", "lattice-name"])
+def test_integer_strings_past_the_digit_limit_name_their_field(capsys, tmp_path, command,
+                                                               data, field):
+    source = data
+    if not isinstance(data, str):
+        source = str(tmp_path / "input.json")
+        Path(source).write_text(json.dumps(data))
+    code, out, err = run(capsys, command, source)
+    assert (code, out, err) == (
+        2, "", f"error: {field} has more than {DIGIT_LIMIT} digits\n")
+
+
 def test_fibration_unknown_source(capsys):
     code, _, err = run(capsys, "fibration", "no-such-model")
     assert code == 2

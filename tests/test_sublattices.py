@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3lattices.intmat import (
     IntMatrix,
@@ -20,7 +20,6 @@ from k3lattices.sublattices import (
     _adjoin,
     Sublattice,
     enumerate_even_overlattices,
-    half_sum_search,
     is_primitive,
     orthogonal_complement,
     solve_glue,
@@ -87,12 +86,6 @@ def test_is_primitive_agrees_with_index_of_closure():
     assert seen == {True, False}
 
 
-def test_half_sum_single_class_is_empty():
-    u = make_named("U")
-    sub = Sublattice(u, columns([(1, -1)]))
-    assert half_sum_search(sub) == []
-
-
 def rm13_codewords():
     gens = [(1,) * 8,
             (0, 1, 0, 1, 0, 1, 0, 1),
@@ -132,6 +125,11 @@ def glued_a1_8_model():
     return glued, columns(cols)
 
 
+def half_sum_count(s):
+    """2^e - 1 for e even invariant factors of s, the half-sum count of check 07."""
+    return 2 ** sum(1 for d in s.smith[0] if d % 2 == 0) - 1
+
+
 def test_half_sum_matches_code_supports():
     glued, coords = glued_a1_8_model()
     # gluing eight A1's along the extended [8,4] code gives a unimodular lattice
@@ -141,15 +139,14 @@ def test_half_sum_matches_code_supports():
     for j in range(8):
         g = sub.generator(j)
         assert glued.pairing(g, g) == -2
-    found = half_sum_search(sub)
+    # the integral half-sums are the supports of the 15 nonzero codewords:
+    # 14 of weight 4 and the all-ones word
+    found = half_integral_subsets([sub.generator(j) for j in range(8)])
     expected = sorted(
         tuple(i for i in range(8) if w[i]) for w in rm13_codewords() if any(w))
-    assert found == expected
-    assert len(found) == 15
+    assert sorted(found) == expected
     assert sorted(len(j) for j in found) == [4] * 14 + [8]
-    # agreement with the naive subset enumeration
-    naive = half_integral_subsets([sub.generator(j) for j in range(8)])
-    assert sorted(naive) == found
+    assert len(found) == half_sum_count(sub) == 15
 
 
 @st.composite
@@ -168,17 +165,12 @@ def doubled_sublattices(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(s=doubled_sublattices())
+@example(s=Sublattice(make_named("U"), columns([(1, -1)])))
 def test_half_sum_search_matches_subset_enumeration(s):
+    # the half-sums of independent generators are integral exactly on the
+    # mod-2 span of the right-transform columns with even invariant factor
     naive = half_integral_subsets([s.generator(j) for j in range(s.rank)])
-    assert half_sum_search(s) == sorted(naive)
-
-
-def test_half_sum_generator_cap():
-    # 2*I_25 has 25 even invariant factors, so 2^25 - 1 half-integral sums
-    doubled = [[2 if i == j else 0 for j in range(25)] for i in range(25)]
-    grid = Lattice(IntMatrix.from_rows(doubled))
-    with pytest.raises(ValueError):
-        half_sum_search(Sublattice(grid, IntMatrix.from_rows(doubled)))
+    assert len(naive) == half_sum_count(s)
 
 
 def test_solve_glue_toy_case():
