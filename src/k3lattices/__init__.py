@@ -13,7 +13,6 @@ from .intmat import (
 from .lattices import (
     DiscriminantGroup,
     Lattice,
-    Signature,
     direct_sum,
     discriminant_group,
     make_named,
@@ -66,7 +65,6 @@ __all__ = [
     "NonMinimalModelError",
     "Overlattice",
     "Poly",
-    "Signature",
     "Sublattice",
     "VerificationReport",
     "WeierstrassModel",

@@ -29,6 +29,7 @@ from .fibration import (
 )
 from .fixtures import NS_RANK, WEIERSTRASS_NAMES, weierstrass_model
 from .lattices import (
+    _too_many_digits,
     decode_json,
     discriminant_group,
     lattice_from_json,
@@ -49,38 +50,43 @@ def _load_lattice(source: str):
     return make_named(source)
 
 
-def _group_name(factors: tuple[int, ...]) -> str:
-    if not factors:
-        return "trivial"
-    return " x ".join(f"Z/{d}" for d in factors)
+def _text(field: str, value) -> str:
+    """str(value), with the interpreter's refusal to convert an int of too
+    many digits reported as bad input that names the field."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _too_many_digits(field) from None
 
 
 def cmd_lattice_info(args: argparse.Namespace) -> int:
+    # the whole report is formatted before any of it is printed
     lattice = _load_lattice(args.lattice)
     sig = signature(lattice)
     group = discriminant_group(lattice)
+    det = _text("det", lattice.det)
+    factors = [_text("an invariant factor", d) for d in group.invariant_factors]
+    qvalues = [_text("a q value", q) for q in group.qvalues]
     if args.json:
-        data = {
+        print(json.dumps({
             "label": lattice.label,
             "rank": str(lattice.rank),
-            "det": str(lattice.det),
-            "signature": [str(sig.positive), str(sig.negative), str(sig.zero)],
+            "det": det,
+            "signature": [str(x) for x in sig],
             "even": lattice.is_even,
-            "discriminant_group": {
-                "invariant_factors": [str(d) for d in group.invariant_factors],
-                "qvalues": [str(q) for q in group.qvalues],
-            },
-        }
-        print(json.dumps(data, indent=2, sort_keys=True))
+            "discriminant_group": {"invariant_factors": factors, "qvalues": qvalues},
+        }, indent=2, sort_keys=True))
         return 0
-    print(lattice.label or "lattice")
-    print(f"  rank        {lattice.rank}")
-    print(f"  det         {lattice.det}")
-    print(f"  signature   ({sig.positive}, {sig.negative}, {sig.zero})")
-    print(f"  even        {'yes' if lattice.is_even else 'no'}")
-    print(f"  disc group  {_group_name(group.invariant_factors)}")
-    for i, q in enumerate(group.qvalues, start=1):
-        print(f"  q(g{i})       {q}")
+    lines = [
+        lattice.label or "lattice",
+        f"  rank        {lattice.rank}",
+        f"  det         {det}",
+        f"  signature   {sig}",
+        f"  even        {'yes' if lattice.is_even else 'no'}",
+        f"  disc group  {' x '.join(f'Z/{d}' for d in factors) or 'trivial'}",
+    ]
+    lines += [f"  q(g{i})       {q}" for i, q in enumerate(qvalues, start=1)]
+    print("\n".join(lines))
     return 0
 
 

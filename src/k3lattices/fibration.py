@@ -423,14 +423,12 @@ class NeronSeveri(Record):
     fiber class F minus its weighted siblings.
     """
 
-    __slots__ = ("lattice", "basis", "vectors")
+    __slots__ = ("lattice", "vectors")
     __eq__ = object.__eq__      # compared by identity
     __hash__ = object.__hash__
 
-    def __init__(self, lattice: Lattice, basis: tuple[str, ...],
-                 vectors: Mapping[str, tuple[int, ...]]) -> None:
+    def __init__(self, lattice: Lattice, vectors: Mapping[str, tuple[int, ...]]) -> None:
         set_field(self, "lattice", lattice)
-        set_field(self, "basis", basis)
         set_field(self, "vectors", vectors)
 
 
@@ -478,7 +476,7 @@ def build_neron_severi(model: FibrationModel) -> NeronSeveri:
         vectors[spec.identity] = tuple(identity)
 
     lattice = Lattice(IntMatrix.from_rows(rows), "NS")
-    return NeronSeveri(lattice, tuple(basis), vectors)
+    return NeronSeveri(lattice, vectors)
 
 
 def extract_chain(ns: NeronSeveri, labels: Sequence[str]) -> Sublattice:

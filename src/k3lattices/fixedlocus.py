@@ -35,11 +35,10 @@ ORDER = 7
 
 
 class FixedLocusProfile(Record):
-    __slots__ = ("name", "rank", "n26", "n35", "n44", "curves")
+    __slots__ = ("rank", "n26", "n35", "n44", "curves")
 
-    def __init__(self, name: str, rank: int, n26: int, n35: int, n44: int,
+    def __init__(self, rank: int, n26: int, n35: int, n44: int,
                  curves: tuple[int, ...]) -> None:
-        set_field(self, "name", name)
         set_field(self, "rank", rank)
         set_field(self, "n26", n26)
         set_field(self, "n35", n35)
@@ -65,8 +64,7 @@ def fixed_locus_table(invariant: Lattice) -> FixedLocusProfile:
         raise ValueError(f"22 - {r} is not a positive multiple of {ORDER - 1}")
     if not invariant.is_even:
         raise ValueError(f"{invariant.label} is not even")
-    sig = signature(invariant)
-    if (sig.positive, sig.negative, sig.zero) != (1, r - 1, 0):
+    if signature(invariant) != (1, r - 1, 0):
         raise ValueError(f"{invariant.label} does not have signature (1, {r - 1})")
     factors = discriminant_group(invariant).invariant_factors
     if any(d != ORDER for d in factors):
@@ -77,7 +75,7 @@ def fixed_locus_table(invariant: Lattice) -> FixedLocusProfile:
     s = (r - 4) // 6
     g = (m - a) // 2
     curves = (g,) + (0,) * (s + g - 1) if g >= 1 else (0,) * s
-    return FixedLocusProfile(invariant.label, r, 2 * s + 2, 2 * s + 1, s, curves)
+    return FixedLocusProfile(r, 2 * s + 2, 2 * s + 1, s, curves)
 
 
 def lefschetz_check(profile: FixedLocusProfile) -> bool:

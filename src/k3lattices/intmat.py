@@ -208,10 +208,8 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     identity appended, so every row step of _hermite_rows on a_i is done
     on u_i too.
 
-    No package path calls it: the package's Hermite steps run in
-    _hermite_rows, and its one caller, unimodular_inverse, has no caller
-    in the package.  It is kept as the public entry, with its transform,
-    that the normal_forms benchmark times.
+    integer_kernel reads its kernel off the transform; the other Hermite
+    steps of the package, which need no transform, call _hermite_rows.
     """
     rows, cols = m.rows, m.cols
     w = [list(row) + [0] * i + [1] + [0] * (rows - 1 - i) for i, row in enumerate(m.entries)]
@@ -227,7 +225,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatr
     transforms unimodular, d non-negative and d[i] | d[i+1].
     """
     rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+    a = m.to_lists()
     left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
@@ -306,7 +304,7 @@ def det_exact(m: IntMatrix) -> int:
     n = m.rows
     if n == 0:
         return 1
-    a = [list(row) for row in m.entries]
+    a = m.to_lists()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -366,10 +364,8 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     With u @ m^T == h in Hermite form, the rows of the unimodular u whose
     rows of h are zero span the kernel and are part of a basis of Z^cols.
     """
-    w = [list(row) + [0] * i + [1] + [0] * (m.cols - 1 - i)
-         for i, row in enumerate(m.transpose().entries)]
-    _hermite_rows(w, m.rows)
-    kernel = [wi[m.rows:] for wi in w if not any(wi[:m.rows])]
+    h, u = hermite_normal_form(m.transpose())
+    kernel = [ui for hi, ui in zip(h.entries, u.entries) if not any(hi)]
     return IntMatrix.from_rows(kernel, cols=m.cols).transpose()
 
 

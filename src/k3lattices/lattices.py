@@ -30,15 +30,6 @@ rank-26 random even Gram files takes 0.10 s at 4-bit entries, 0.11 s at
 8-bit, 0.12 s at 16-bit and 0.19 s at 64-bit, interpreter start included."""
 
 
-class Signature(Record):
-    __slots__ = ("positive", "negative", "zero")
-
-    def __init__(self, positive: int, negative: int, zero: int) -> None:
-        set_field(self, "positive", positive)
-        set_field(self, "negative", negative)
-        set_field(self, "zero", zero)
-
-
 class Lattice(Record):
     """Free Z-module with a symmetric integer bilinear form."""
 
@@ -204,15 +195,15 @@ def direct_sum(*parts: Lattice) -> Lattice:
     return Lattice(IntMatrix.from_rows(rows, cols=rank), label)
 
 
-def signature(l: Lattice) -> Signature:
-    """Sylvester signature by fraction-free symmetric Bareiss elimination.
+def signature(l: Lattice) -> tuple[int, int, int]:
+    """Sylvester signature (positive, negative, zero) by symmetric Bareiss elimination.
 
     After each pivot the trailing entries are minors of a matrix congruent
     to the Gram, so dividing by the previous pivot is exact, and a pivot
     counts as positive when it has the sign of the previous one (Jacobi).
     """
     n = l.rank
-    a = [list(row) for row in l.gram.entries]
+    a = l.gram.to_lists()
     pos = neg = zero = 0
     prev = 1
     for i in range(n):
@@ -237,7 +228,7 @@ def signature(l: Lattice) -> Signature:
             for k in range(j, n):
                 aj[k] = a[k][j] = (pivot * aj[k] - c * row[k]) // prev
         prev = pivot
-    return Signature(pos, neg, zero)
+    return pos, neg, zero
 
 
 def discriminant_group(l: Lattice) -> DiscriminantGroup:
@@ -253,7 +244,7 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
     # gives gram @ right = (left @ u)^-1 @ diag(d), so column j of it is a
     # multiple of d[j], b(g_i, g_j) has denominator dividing min(d_i, d_j)
     # and the divisions below are exact.
-    rows = [list(row) for row in l.gram.entries]
+    rows = l.gram.to_lists()
     _hermite_rows(rows, l.rank)
     d, _left, right = smith_normal_form(IntMatrix.from_rows(rows, cols=l.rank))
     kept = [i for i, di in enumerate(d) if di != 1]
@@ -271,24 +262,35 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
     return group
 
 
+def _too_many_digits(field: str) -> ValueError:
+    """The bad-input error for an int of more digits than CPython converts
+    to or from a string (sys.get_int_max_str_digits); it names the field
+    and sets nothing."""
+    return ValueError(f"{field} has more than {sys.get_int_max_str_digits()} digits")
+
+
 def _read_decimal(digits: str, field: str) -> int:
-    """int() of an optionally signed string of ASCII digits, with CPython's
-    limit on their number (sys.get_int_max_str_digits) reported as bad
-    input that names the field."""
+    """int() of an optionally signed string of ASCII digits, with the
+    interpreter's limit on their number reported as bad input that names
+    the field."""
     try:
         return int(digits)
     except ValueError:
-        raise ValueError(f"{field} has more than {sys.get_int_max_str_digits()} "
-                         "digits") from None
+        raise _too_many_digits(field) from None
 
 
 def decode_json(text: str):
-    """json.loads, with nesting too deep for the decoder reported as bad
-    input (ValueError) like any other malformed JSON."""
+    """json.loads, with nesting too deep for the decoder and a number past
+    the digit limit, which the decoder refuses with a plain ValueError,
+    reported as bad input (ValueError) like any other malformed JSON."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise _too_many_digits("a JSON integer") from None
 
 
 def lattice_from_json(text: str) -> Lattice:

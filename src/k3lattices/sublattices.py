@@ -65,18 +65,16 @@ class GlueSolution(Record):
     """Glue data of a primitive corank-1 sublattice delta.
 
     n is the index of (delta + complement) in the ambient lattice; H
-    generates the complement; h generates the quotient and satisfies
-    n*h = H + sum(a[i] * C[i]) with 0 <= a[i] < n.  All vectors are in
-    ambient coordinates.
+    generates the complement, in ambient coordinates; the residues
+    0 <= a[i] < n make h = (H + sum(a[i] * C[i])) / n integral, and h
+    generates the quotient.
     """
 
-    __slots__ = ("n", "H", "h", "a")
+    __slots__ = ("n", "H", "a")
 
-    def __init__(self, n: int, H: tuple[int, ...], h: tuple[int, ...],
-                 a: tuple[int, ...]) -> None:
+    def __init__(self, n: int, H: tuple[int, ...], a: tuple[int, ...]) -> None:
         set_field(self, "n", n)
         set_field(self, "H", H)
-        set_field(self, "h", h)
         set_field(self, "a", a)
 
 
@@ -127,7 +125,7 @@ def solve_glue(delta: Sublattice,
     if abs(mat_vec(left, h)[k]) != 1:
         raise AssertionError("delta + Zh does not span the ambient lattice")
 
-    return GlueSolution(n, tuple(H), h, a)
+    return GlueSolution(n, tuple(H), a)
 
 
 class Overlattice(Record):

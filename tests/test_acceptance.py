@@ -50,8 +50,7 @@ def test_c02_hyperbolic_sum_invariants():
         lattice = direct_sum(make_named("U"), make_named("E8"), make_named("A6"))
         assert abs(lattice.det) == 7
         assert gauss_det(lattice.gram.to_lists()) == lattice.det
-        sig = signature(lattice)
-        assert (sig.positive, sig.negative, sig.zero) == (1, 15, 0)
+        assert signature(lattice) == (1, 15, 0)
         assert lattice.is_even
 
 

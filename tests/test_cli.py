@@ -505,6 +505,32 @@ def test_integer_strings_past_the_digit_limit_name_their_field(capsys, tmp_path,
         2, "", f"error: {field} has more than {DIGIT_LIMIT} digits\n")
 
 
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
+@pytest.mark.parametrize("command, text", [
+    ("lattice-info", '{"gram": [[%s]]}' % LONG),
+    ("fibration", '{"a4": [1], "a6": [0, %s]}' % LONG),
+    ("fibration", '{"fibers": [{"place": "0", "type": "I7", "count": %s}], "mw_rank": 0}'
+     % LONG),
+], ids=["gram-entry", "coefficient", "count"])
+def test_json_numbers_past_the_digit_limit_are_bad_input(capsys, tmp_path, command, text):
+    # written by hand: json.dumps refuses an int this long, and the decoder
+    # converts JSON numbers before the package sees them
+    source = tmp_path / "input.json"
+    source.write_text(text)
+    code, out, err = run(capsys, command, str(source))
+    assert (code, out, err) == (
+        2, "", f"error: a JSON integer has more than {DIGIT_LIMIT} digits\n")
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_lattice_info_prints_nothing_when_det_has_too_many_digits(capsys, as_json):
+    # U(n) reads a 4,300-digit n, but det = -n^2 has twice as many digits
+    argv = ["lattice-info", f"U({'9' * DIGIT_LIMIT})"] + (["--json"] if as_json else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: det has more than {DIGIT_LIMIT} digits\n")
+
+
 def test_fibration_unknown_source(capsys):
     code, _, err = run(capsys, "fibration", "no-such-model")
     assert code == 2

@@ -421,9 +421,10 @@ def test_reference_neron_severi_invariants():
     assert lat.det == -7
     assert gauss_det(lat.gram.to_lists()) == -7
     assert lat.is_even
-    sig = signature(lat)
-    assert (sig.positive, sig.negative, sig.zero) == (1, 15, 0)
-    assert ns.basis[:2] == ("S", "F")
+    assert signature(lat) == (1, 15, 0)
+    # the basis starts S, F: their classes are the first two unit vectors
+    assert ns.vectors["S"] == (1,) + (0,) * 15
+    assert ns.vectors["F"] == (0, 1) + (0,) * 14
 
 
 def test_reference_neron_severi_pairings():

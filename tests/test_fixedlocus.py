@@ -38,12 +38,12 @@ def derived_rows():
 # --- rows derived from the invariant lattices -------------------------------
 
 def test_derived_rows_match_the_classification():
-    assert derived_rows() == [
-        FixedLocusProfile("U + K7", 4, 2, 1, 0, (1,)),
-        FixedLocusProfile("U(7) + K7", 4, 2, 1, 0, ()),
-        FixedLocusProfile("U + E8", 10, 4, 3, 1, (1, 0)),
-        FixedLocusProfile("U(7) + E8", 10, 4, 3, 1, (0,)),
-        FixedLocusProfile("U + E8 + A6", 16, 6, 5, 2, (0, 0)),
+    assert list(zip(INVARIANT_LATTICES, derived_rows())) == [
+        ("U + K7", FixedLocusProfile(4, 2, 1, 0, (1,))),
+        ("U(7) + K7", FixedLocusProfile(4, 2, 1, 0, ())),
+        ("U + E8", FixedLocusProfile(10, 4, 3, 1, (1, 0))),
+        ("U(7) + E8", FixedLocusProfile(10, 4, 3, 1, (0,))),
+        ("U + E8 + A6", FixedLocusProfile(16, 6, 5, 2, (0, 0))),
     ]
 
 
@@ -111,8 +111,8 @@ def test_holomorphic_lefschetz_identity_forces_the_point_counts():
 
 
 def test_euler_counts_two_minus_twice_the_genus_per_curve():
-    assert FixedLocusProfile("x", 4, 1, 1, 1, (2,)).euler == 1
-    assert FixedLocusProfile("x", 4, 1, 1, 1, (1, 0)).euler == 5
+    assert FixedLocusProfile(4, 1, 1, 1, (2,)).euler == 1
+    assert FixedLocusProfile(4, 1, 1, 1, (1, 0)).euler == 5
 
 
 # --- Lefschetz consistency --------------------------------------------------
@@ -123,12 +123,12 @@ def test_lefschetz_all_rows():
 
 
 def test_lefschetz_rejects_corrupted_profile():
-    bad = FixedLocusProfile("corrupted", 10, 5, 3, 1, (0,))
+    bad = FixedLocusProfile(10, 5, 3, 1, (0,))
     assert not lefschetz_check(bad)
 
 
 def test_lefschetz_needs_six_block_rank():
-    profile = FixedLocusProfile("rank 9", 9, 3, 2, 1, (0,))
+    profile = FixedLocusProfile(9, 3, 2, 1, (0,))
     with pytest.raises(ValueError):
         lefschetz_check(profile)
 

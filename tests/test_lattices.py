@@ -9,7 +9,6 @@ import pytest
 from k3lattices.intmat import IntMatrix
 from k3lattices.lattices import (
     Lattice,
-    Signature,
     direct_sum,
     discriminant_group,
     lattice_from_json,
@@ -77,7 +76,7 @@ def test_direct_sum_invariants():
     assert s.det == -7
     assert s.det == gauss_det(s.gram.to_lists())
     assert s.is_even
-    assert signature(s) == Signature(1, 15, 0)
+    assert signature(s) == (1, 15, 0)
 
     t = direct_sum(make_named("U"), make_named("U"), make_named("K7"))
     assert t.rank == 6
@@ -96,23 +95,14 @@ def test_direct_sum_multiplies_dets_and_adds_signatures():
         b = make_named(rng.choice(pool))
         s = direct_sum(a, b)
         assert s.det == a.det * b.det
-        sa, sb, ss = signature(a), signature(b), signature(s)
-        assert (ss.positive, ss.negative, ss.zero) == (
-            sa.positive + sb.positive,
-            sa.negative + sb.negative,
-            sa.zero + sb.zero,
-        )
+        assert signature(s) == tuple(x + y for x, y in zip(signature(a), signature(b)))
 
 
 def test_signature_basic_shapes():
-    sig = signature(make_named("E8"))
-    assert (sig.positive, sig.negative, sig.zero) == (0, 8, 0)
-    sig = signature(make_named("U"))
-    assert (sig.positive, sig.negative, sig.zero) == (1, 1, 0)
-    sig = signature(Lattice(IntMatrix.zeros(2, 2)))
-    assert (sig.positive, sig.negative, sig.zero) == (0, 0, 2)
-    sig = signature(Lattice(IntMatrix.from_rows([[0, 2, 0], [2, 0, 0], [0, 0, 0]])))
-    assert (sig.positive, sig.negative, sig.zero) == (1, 1, 1)
+    assert signature(make_named("E8")) == (0, 8, 0)
+    assert signature(make_named("U")) == (1, 1, 0)
+    assert signature(Lattice(IntMatrix.zeros(2, 2))) == (0, 0, 2)
+    assert signature(Lattice(IntMatrix.from_rows([[0, 2, 0], [2, 0, 0], [0, 0, 0]]))) == (1, 1, 1)
 
 
 def test_signature_of_diagonal_matches_entry_signs():
@@ -122,10 +112,10 @@ def test_signature_of_diagonal_matches_entry_signs():
         diag = [rng.randint(-7, 7) for _ in range(n)]
         l = Lattice(IntMatrix.from_rows(
             [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
-        sig = signature(l)
-        assert sig.positive == sum(1 for x in diag if x > 0)
-        assert sig.negative == sum(1 for x in diag if x < 0)
-        assert sig.zero == sum(1 for x in diag if x == 0)
+        positive, negative, zero = signature(l)
+        assert positive == sum(1 for x in diag if x > 0)
+        assert negative == sum(1 for x in diag if x < 0)
+        assert zero == sum(1 for x in diag if x == 0)
 
 
 def test_discriminant_group_chain15():

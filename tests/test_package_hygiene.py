@@ -3,10 +3,11 @@ the standard library, as the README promises, and builds no tuple from a
 generator; checked on the syntax tree of every module.  No module of the
 package or of the tests imports a name it never uses, every public
 function or class of the package is either used by the package or
-exported, and the name of every public method or property of a package
-class is read as an attribute somewhere in the package.  Start-up stays
-cheap: no module imports dataclasses, inspect, datetime or pathlib or
-calls exec or eval, and importing the command line loads none of them.  The arithmetic layers import none of fixtures, verify
+exported, and the name of every public method or property and of every
+record field of a package class is read as an attribute somewhere in the
+package.  Start-up stays cheap: no module imports dataclasses, inspect,
+datetime or pathlib or calls exec or eval, and importing the command line
+loads none of them.  The arithmetic layers import none of fixtures, verify
 and cli, which hold the facts of the paper's scenario and the front end.
 Every function and method that perfbench's tracer names exists where the
 tracer looks it up."""
@@ -200,25 +201,40 @@ def test_every_public_definition_is_used_or_exported():
     assert not unused, unused
 
 
-# called only by perfbench/workloads.py and perfbench/test_perfbench.py,
-# which read the benchmark's matrices as plain lists
-UNREAD_METHODS_ALLOWED = {"IntMatrix.to_lists"}
+def _attributes_read():
+    """Every name read as an attribute (x.name) in the package."""
+    return {node.attr for path in MODULES for node in ast.walk(tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _classes():
+    return [cls for path in MODULES for cls in tree(path).body
+            if isinstance(cls, ast.ClassDef)]
 
 
 def test_every_public_method_is_read_in_the_package():
     # a public method or property of a package class must be read as an
     # attribute (x.name) somewhere in the package, or it is dead code
-    defined, read = set(), set()
-    for path in MODULES:
-        module = tree(path)
-        read |= {node.attr for node in ast.walk(module) if isinstance(node, ast.Attribute)}
-        for cls in module.body:
-            if isinstance(cls, ast.ClassDef):
-                defined |= {f"{cls.name}.{node.name}" for node in cls.body
-                            if isinstance(node, ast.FunctionDef)
-                            and not node.name.startswith("_")}
-    unread = sorted(name for name in defined - UNREAD_METHODS_ALLOWED
-                    if name.split(".")[1] not in read)
+    defined = {f"{cls.name}.{node.name}" for cls in _classes() for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    read = _attributes_read()
+    unread = sorted(name for name in defined if name.split(".")[1] not in read)
+    assert not unread, unread
+
+
+def _slots(cls):
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            return [e.value for e in node.value.elts]
+    return []
+
+
+def test_every_record_field_is_read_in_the_package():
+    # a field that no line of the package reads is data carried for nothing
+    read = _attributes_read()
+    unread = sorted(f"{cls.name}.{field}" for cls in _classes()
+                    for field in _slots(cls) if field != "__dict__" and field not in read)
     assert not unread, unread
 
 

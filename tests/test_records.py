@@ -21,7 +21,7 @@ from k3lattices.fibration import (
 )
 from k3lattices.fixedlocus import ChainWalk, FixedLocusProfile, FixedPoint
 from k3lattices.intmat import IntMatrix
-from k3lattices.lattices import DiscriminantGroup, Lattice, Signature, discriminant_group
+from k3lattices.lattices import DiscriminantGroup, Lattice, discriminant_group
 from k3lattices.polynomials import Poly
 from k3lattices.sublattices import GlueSolution, Overlattice, Sublattice
 from k3lattices.verify import CheckResult, VerificationReport, run_verification
@@ -33,16 +33,15 @@ CHECK = CheckResult("01-a15", "det A15 = -16", True, (("det", "-16"),))
 
 # record class -> (a builder of a fresh instance, its fields in order)
 RECORDS = {
-    Signature: (lambda: Signature(1, 1, 0), ("positive", "negative", "zero")),
     Lattice: (lambda: Lattice(U, "U"), ("gram", "label")),
     DiscriminantGroup: (lambda: discriminant_group(Lattice(A2, "A2")),
                         ("invariant_factors", "numerators", "gram")),
     Sublattice: (lambda: Sublattice(Lattice(U), IntMatrix.from_rows([[1], [1]])),
                  ("ambient", "coords")),
-    GlueSolution: (lambda: GlueSolution(2, (1, 0), (0, 1), (1,)), ("n", "H", "h", "a")),
+    GlueSolution: (lambda: GlueSolution(2, (1, 0), (1,)), ("n", "H", "a")),
     Overlattice: (lambda: Overlattice((1, 1), 2, A2, 2), ("glue", "scale", "gram", "index")),
-    FixedLocusProfile: (lambda: FixedLocusProfile("U + K7", 4, 2, 1, 0, (1,)),
-                        ("name", "rank", "n26", "n35", "n44", "curves")),
+    FixedLocusProfile: (lambda: FixedLocusProfile(4, 2, 1, 0, (1,)),
+                        ("rank", "n26", "n35", "n44", "curves")),
     FixedPoint: (lambda: FixedPoint(("G1", "G2"), (2, 6)), ("curves", "exponents")),
     ChainWalk: (lambda: ChainWalk(("G7",), (POINT,), ()),
                 ("fixed_curves", "points", "conflicts")),
@@ -60,8 +59,7 @@ RECORDS = {
     FibrationModel: (lambda: FibrationModel((FiberSpec("0", "II*"), FiberSpec("inf", "II*"),
                                              FiberSpec("1", "I1", count=4)), 0),
                      ("fibers", "mw_rank")),
-    NeronSeveri: (lambda: NeronSeveri(Lattice(U), ("S", "F"), {"S": (1, 0)}),
-                  ("lattice", "basis", "vectors")),
+    NeronSeveri: (lambda: NeronSeveri(Lattice(U), {"S": (1, 0)}), ("lattice", "vectors")),
     IntMatrix: (lambda: IntMatrix.from_rows([[1, 2], [3, 4]]), ("rows", "cols", "entries")),
     Poly: (lambda: Poly.of([1, Fraction(1, 2)]), ("ints", "content")),
     CheckResult: (lambda: CheckResult("01-a15", "det A15 = -16", True, (("det", "-16"),)),
@@ -115,7 +113,7 @@ def test_equal_fields_compare_and_hash_equal(cls):
 
 
 def test_different_fields_compare_unequal():
-    assert Signature(1, 1, 0) != Signature(1, 0, 1)
+    assert FixedLocusProfile(4, 2, 1, 0, ()) != FixedLocusProfile(4, 2, 0, 1, ())
     assert Lattice(U, "U") != Lattice(U, "")
     assert Poly.of([1, 2]) != Poly.of([2, 4])
 

@@ -173,14 +173,24 @@ def test_half_sum_search_matches_subset_enumeration(s):
     assert len(naive) == half_sum_count(s)
 
 
+def quotient_generator(sol, delta):
+    # h = (H + sum(a[j] * C_j)) / n, which must be integral
+    numerator = [x + sum(a * delta.coords[i, j] for j, a in enumerate(sol.a))
+                 for i, x in enumerate(sol.H)]
+    assert all(x % sol.n == 0 for x in numerator)
+    return tuple([x // sol.n for x in numerator])
+
+
 def test_solve_glue_toy_case():
     u = make_named("U")
     delta = Sublattice(u, columns([(1, -1)]))
     sol = solve_glue(delta)
-    assert sol == GlueSolution(n=2, H=(1, 1), h=(1, 0), a=(1,))
+    assert sol == GlueSolution(n=2, H=(1, 1), a=(1,))
+    h = quotient_generator(sol, delta)
+    assert h == (1, 0)
     # n*h = H + a1*C1 exactly here
-    assert tuple(2 * x for x in sol.h) == tuple(
-        h + c for h, c in zip(sol.H, delta.generator(0)))
+    assert tuple(2 * x for x in h) == tuple(
+        x + c for x, c in zip(sol.H, delta.generator(0)))
 
 
 def chain_h_plus(name):
@@ -197,15 +207,17 @@ def test_chain_glue_values_are_pinned():
     assert chain_glue("a15-chain-1") == GlueSolution(
         n=16,
         H=(21, 42, -18, -15, -12, -9, -6, -3, -21, -42, -63, -84, -105, -70, -35, -56),
-        h=(2, 4, -2, -1, -1, -1, -1, -1, -2, -4, -5, -7, -9, -6, -3, -5),
         a=a)
+    assert quotient_generator(chain_glue("a15-chain-1"), chain_sublattice("a15-chain-1")) == (
+        2, 4, -2, -1, -1, -1, -1, -1, -2, -4, -5, -7, -9, -6, -3, -5)
     assert chain_h_plus("a15-chain-1") == (
         7, 14, -6, -5, -4, -3, -2, -1, -7, -14, -21, -28, -35, -19, -3, -23)
     assert chain_glue("a15-chain-2") == GlueSolution(
         n=16,
         H=(21, 42, -3, -6, -9, -12, -15, -18, -21, -42, -63, -84, -105, -70, -35, -56),
-        h=(2, 4, -1, -1, -1, -1, -1, -2, -2, -4, -5, -7, -9, -6, -3, -5),
         a=a)
+    assert quotient_generator(chain_glue("a15-chain-2"), chain_sublattice("a15-chain-2")) == (
+        2, 4, -1, -1, -1, -1, -1, -2, -2, -4, -5, -7, -9, -6, -3, -5)
     assert chain_h_plus("a15-chain-2") == (
         7, 14, -1, -2, -3, -4, -5, -6, -7, -14, -21, -28, -35, -19, -3, -23)
 
@@ -264,10 +276,12 @@ def assert_glue_witnesses(ambient, delta, sol):
     assert all(ambient.pairing(sol.H, c) == 0 for c in gens)
     assert math.gcd(*sol.H) == 1
     assert n == abs(gauss_det([list(row) + [x] for row, x in zip(delta.coords.entries, sol.H)]))
-    assert tuple([n * x for x in sol.h]) == tuple(
+    h = quotient_generator(sol, delta)
+    assert tuple([n * x for x in h]) == tuple(
         [x + sum(a * c[i] for a, c in zip(sol.a, gens)) for i, x in enumerate(sol.H)])
     assert all(0 <= a < n for a in sol.a)
-    assert abs(gauss_det([list(row) + [x] for row, x in zip(delta.coords.entries, sol.h)])) == 1
+    # delta + Zh spans the ambient lattice
+    assert abs(gauss_det([list(row) + [x] for row, x in zip(delta.coords.entries, h)])) == 1
 
 
 @settings(deadline=None, max_examples=150)

@@ -46,7 +46,7 @@ def test_a_broken_glue_fails_exactly_the_glue_check(monkeypatch, capsys):
     # the real solutions with a1 shifted by 1, so the residues break and h+ is not integral
     def shifted(name):
         sol = chain_glue(name)
-        return GlueSolution(sol.n, sol.H, sol.h, (sol.a[0] + 1,) + sol.a[1:])
+        return GlueSolution(sol.n, sol.H, (sol.a[0] + 1,) + sol.a[1:])
 
     monkeypatch.setattr(verify, "chain_glue", shifted)
     failing = [c.check_id for c in run_verification().checks if not c.passed]
@@ -100,9 +100,9 @@ def doubled_chain(name):
 def f_squared_two():
     ns = reference_neron_severi()
     rows = ns.lattice.gram.to_lists()
-    f = ns.basis.index("F")
+    f = ns.vectors["F"].index(1)
     rows[f][f] = 2
-    return NeronSeveri(Lattice(IntMatrix.from_rows(rows)), ns.basis, ns.vectors)
+    return NeronSeveri(Lattice(IntMatrix.from_rows(rows)), ns.vectors)
 
 
 def swap_row(monkeypatch, row):
