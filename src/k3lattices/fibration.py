@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from ._record import Record, set_field
 from .intmat import IntMatrix
-from .lattices import Lattice, _read_decimal
+from .lattices import Lattice, _read_decimal, _too_many_digits
 from .polynomials import (
     Poly,
     Rational,
@@ -239,8 +239,12 @@ def _classify_roots(w: WeierstrassModel, modulus: Poly, vd: int) -> list[FiberRe
         roots, rest = squarefree_rational_roots(h)
         reports.extend(FiberReport(str(r), fiber) for r in roots)
         if rest.degree > 0:
-            reports.append(FiberReport(format_poly(Poly(rest.ints, Fraction(1))),
-                                       fiber, rest.degree))
+            try:
+                place = format_poly(Poly(rest.ints, Fraction(1)))
+            except ValueError:
+                raise _too_many_digits(
+                    f"the degree-{rest.degree} place of the {fiber} fibers") from None
+            reports.append(FiberReport(place, fiber, rest.degree))
     return reports
 
 

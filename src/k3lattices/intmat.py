@@ -110,22 +110,31 @@ def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple([sum(map(mul, row, v)) for row in m.entries])
 
 
-def _subtract(target: list[int], source: list[int], f: int) -> list[int]:
-    """The row target - f * source."""
-    return [y - f * x for x, y in zip(source, target)]
+def _subtract(target: list[int], source: list[int], f: int, start: int = 0) -> None:
+    """target -= f * source in place, on the columns from start onward;
+    target and source must be distinct lists."""
+    for k in range(start, len(target)):
+        target[k] -= f * source[k]
 
 
-def _combine(ri: list[int], rj: list[int], x: int, y: int, p: int, q: int) -> tuple[list[int], list[int]]:
-    """The rows (x*ri + y*rj, p*ri + q*rj); unimodular when x*q - y*p = +-1."""
-    return ([x * s + y * t for s, t in zip(ri, rj)],
-            [p * s + q * t for s, t in zip(ri, rj)])
+def _combine(ri: list[int], rj: list[int], x: int, y: int, p: int, q: int,
+             start: int = 0) -> None:
+    """(ri, rj) <- (x*ri + y*rj, p*ri + q*rj) in place, on the columns from
+    start onward; unimodular when x*q - y*p = +-1.  ri and rj must be
+    distinct lists."""
+    for k in range(start, len(ri)):
+        s, t = ri[k], rj[k]
+        ri[k] = x * s + y * t
+        rj[k] = p * s + q * t
 
 
 def _clear_below(a: list[list[int]], left: list[list[int]], r: int, c: int) -> None:
     """Clear a[i][c] for every row i below the nonzero pivot a[r][c], doing
     each row step on the Smith left transform too: a subtracted multiple of
     row r when the pivot divides the entry, else the 2x2 extended-gcd step
-    on rows r and i."""
+    on rows r and i.  The steps are in place, on a from column c onward
+    (rows r and below are zero left of it) and on the whole rows of left;
+    every row of a and of left must be its own list."""
     for i in range(r + 1, len(a)):
         b = a[i][c]
         if b == 0:
@@ -133,12 +142,12 @@ def _clear_below(a: list[list[int]], left: list[list[int]], r: int, c: int) -> N
         p = a[r][c]
         f, rest = divmod(b, p)
         if rest == 0:
-            a[i] = _subtract(a[i], a[r], f)
-            left[i] = _subtract(left[i], left[r], f)
+            _subtract(a[i], a[r], f, c)
+            _subtract(left[i], left[r], f)
         else:
             g, x, y = _ext_gcd(p, b)
-            a[r], a[i] = _combine(a[r], a[i], x, y, -(b // g), p // g)
-            left[r], left[i] = _combine(left[r], left[i], x, y, -(b // g), p // g)
+            _combine(a[r], a[i], x, y, -(b // g), p // g, c)
+            _combine(left[r], left[i], x, y, -(b // g), p // g)
 
 
 def _hermite_rows(w: list[list[int]], cols: int) -> None:
@@ -152,7 +161,8 @@ def _hermite_rows(w: list[list[int]], cols: int) -> None:
     pivot are thus reduced as it is found and do not grow column after
     column.  The last two rows finish with one subtraction when one entry
     divides the other, else one extended-gcd step.  Those rows are zero
-    left of column c, so every step touches columns c onward only.
+    left of column c, so every step updates its rows in place from column
+    c onward; every row of w must be its own list.
     """
     rows = len(w)
     r = 0
@@ -162,12 +172,12 @@ def _hermite_rows(w: list[list[int]], cols: int) -> None:
             continue
         while len(live) > 2:
             p = min(live, key=lambda i: abs(w[i][c]))
-            tail = w[p][c:]
-            a = tail[0]
+            wp = w[p]
+            a = wp[c]
             for i in live:
                 if i != p:
                     wi = w[i]
-                    wi[c:] = _subtract(wi[c:], tail, (2 * wi[c] + a) // (2 * a))
+                    _subtract(wi, wp, (2 * wi[c] + a) // (2 * a), c)
             live = [i for i in live if w[i][c]]
         p = live[0]
         if len(live) == 2:
@@ -175,25 +185,24 @@ def _hermite_rows(w: list[list[int]], cols: int) -> None:
             wp, wj = w[p], w[j]
             a, b = wp[c], wj[c]
             if b % a == 0:
-                wj[c:] = _subtract(wj[c:], wp[c:], b // a)
+                _subtract(wj, wp, b // a, c)
             elif a % b == 0:
-                wp[c:] = _subtract(wp[c:], wj[c:], a // b)
+                _subtract(wp, wj, a // b, c)
                 p = j
             else:
                 g, x, y = _ext_gcd(a, b)
-                wp[c:], wj[c:] = _combine(wp[c:], wj[c:], x, y, -(b // g), a // g)
+                _combine(wp, wj, x, y, -(b // g), a // g, c)
         if p != r:
             w[r], w[p] = w[p], w[r]
         wr = w[r]
         if wr[c] < 0:
             wr[c:] = [-x for x in wr[c:]]
         a = wr[c]
-        tail = wr[c:]
         for i in range(r):
             wi = w[i]
             f = wi[c] // a
             if f:
-                wi[c:] = _subtract(wi[c:], tail, f)
+                _subtract(wi, wr, f, c)
         r += 1
         if r == rows:
             break
@@ -282,8 +291,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatr
             col_subtract(t, t + 1, -1)            # col t <- col t + col t+1
             g, s, u = _ext_gcd(a[t][t], a[t + 1][t])
             p, q = -(a[t + 1][t] // g), a[t][t] // g
-            a[t], a[t + 1] = _combine(a[t], a[t + 1], s, u, p, q)
-            left[t], left[t + 1] = _combine(left[t], left[t + 1], s, u, p, q)
+            _combine(a[t], a[t + 1], s, u, p, q, t)
+            _combine(left[t], left[t + 1], s, u, p, q)
             f = a[t][t + 1] // a[t][t]            # exact: gcd divides the fill-in
             col_subtract(t + 1, t, f)             # col t+1 <- col t+1 - f*col t
 

@@ -26,8 +26,9 @@ MAX_RANK = 26
 """Largest rank make_named and lattice_from_json build.  discriminant_group
 runs its Smith form on the Hermite form of the Gram, whose entries the
 determinant bounds: on a shared 2-vCPU VM (CPython 3.11), lattice-info on
-rank-26 random even Gram files takes 0.10 s at 4-bit entries, 0.11 s at
-8-bit, 0.12 s at 16-bit and 0.19 s at 64-bit, interpreter start included."""
+rank-26 random even Gram files takes 0.09 s at 4-bit entries, 0.10 s at
+8-bit, 0.11 s at 16-bit and 0.17 s at 64-bit (medians of 7 runs),
+interpreter start included."""
 
 
 class Lattice(Record):

@@ -531,6 +531,20 @@ def test_lattice_info_prints_nothing_when_det_has_too_many_digits(capsys, as_jso
     assert (code, out, err) == (2, "", f"error: det has more than {DIGIT_LIMIT} digits\n")
 
 
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_fibration_prints_nothing_when_a_place_has_too_many_digits(capsys, tmp_path, as_json):
+    # a4 = t^3 and a6 = t^8 + (10^2200 + 7) at the default limit: a valid
+    # model, but the constant term of its degree-16 I1 place has about
+    # twice as many digits as a6's
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"a4": [0, 0, 0, 1],
+                                "a6": [10 ** (DIGIT_LIMIT // 2 + 50) + 7] + [0] * 7 + [1]}))
+    code, out, err = run(capsys, "fibration", str(path), *(["--json"] if as_json else []))
+    assert (code, out, err) == (
+        2, "", f"error: the degree-16 place of the I1 fibers has more than {DIGIT_LIMIT} digits\n")
+
+
 def test_fibration_unknown_source(capsys):
     code, _, err = run(capsys, "fibration", "no-such-model")
     assert code == 2

@@ -7,6 +7,8 @@ import pytest
 
 from k3lattices.intmat import (
     IntMatrix,
+    _combine,
+    _subtract,
     det_exact,
     hermite_normal_form,
     integer_kernel,
@@ -227,6 +229,24 @@ def test_unimodular_inverse():
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix.from_rows([[1, 1]]))
+
+
+def test_in_place_row_steps_match_the_out_of_place_formulas():
+    rng = random.Random(34)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        start = rng.randint(0, n)
+        ri = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        rj = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        f, x, y, p, q = [rng.randint(-50, 50) for _ in range(5)]
+        target, source = list(ri), list(rj)
+        assert _subtract(target, source, f, start) is None
+        assert target == ri[:start] + [s - f * t for s, t in zip(ri[start:], rj[start:])]
+        assert source == rj
+        a, b = list(ri), list(rj)
+        assert _combine(a, b, x, y, p, q, start) is None
+        assert a == ri[:start] + [x * s + y * t for s, t in zip(ri[start:], rj[start:])]
+        assert b == rj[:start] + [p * s + q * t for s, t in zip(ri[start:], rj[start:])]
 
 
 def _package_shapes():

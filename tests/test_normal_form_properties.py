@@ -2,9 +2,12 @@
 
 Generated matrices stay at most 6x6 so that the cofactor oracle and the
 whole file run in a few seconds; the Hermite stress cases check only the
-witness conditions, which need no oracle.
+witness conditions, which need no oracle.  Seeded matrices at the shapes
+the normal_forms benchmark times, and at 22x21, are compared with the
+gcd-step oracles.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -88,6 +91,39 @@ def test_hermite_form_witness_at_stress_sizes(rows, cols):
     rng = random.Random(rows * 100 + cols)
     m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
     assert_hermite_witness(m, *hermite_normal_form(m))
+
+
+# sha256 of repr(u.entries) for the three seeded matrices of each
+# rectangular shape below, where the Hermite transform u is one witness
+# among many: the row steps fix it, so a change to them shows here
+RECTANGULAR_U_SHA256 = {
+    (16, 15): ["3580f39b24a64cf1dfe200380a7652fcc6a6945cf7bc21c75e5e07551b13c87c",
+               "8fe080c2bcb10694e2b352e83b4db9108f581f1fcf37db46d11b287c4d67b270",
+               "28bd066e577db39b4f938a1f8f40a2e733f55794302841ecc191c18db9a54c66"],
+    (22, 21): ["94948bd43457adcab11e54247fcf3ae8b027528ca6989c1aaa530d6fdd218afe",
+               "03e668233f6ba7301585e048af31942db3be19a1c077513f601cdbed9f217c20",
+               "eef4a27cf3d657cdd2495aa0f8ac5116bd27bb44b9287be55c4ab1afcc1c0441"],
+}
+
+
+@pytest.mark.parametrize("rows, cols", [(16, 16), (16, 15), (22, 21)])
+def test_normal_forms_match_the_oracles_at_benchmark_shapes(rows, cols):
+    rng = random.Random(rows * 100 + cols)
+    for k in range(3):
+        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)]
+                                 for _ in range(rows)])
+        h, u = hermite_normal_form(m)
+        want_h, want_u = hermite_by_gcd_steps(m)
+        assert h.entries == want_h
+        if rows == cols:
+            assert gauss_det(m.to_lists()) != 0
+            assert u.entries == want_u
+        else:
+            assert u @ m == h
+            digest = hashlib.sha256(repr(u.entries).encode()).hexdigest()
+            assert digest == RECTANGULAR_U_SHA256[rows, cols][k]
+        d, left, right = smith_normal_form(m)
+        assert (d, left.entries, right.entries) == smith_by_general_steps(m)
 
 
 @pytest.mark.parametrize("rows", [
